@@ -577,8 +577,9 @@ fn timer_deadlines(cfg: &StructsConfig) -> Vec<u64> {
 }
 
 fn timer_flat(deadlines: &[u64]) -> StructStorm {
-    // Payload is a `u64` — same width as the executor's real payload (an
-    // `Rc` waker-slot pointer) so both arms carry equal freight.
+    // Payload is a `u64` — the width of the executor's payload when this
+    // storm was written (an `Rc` waker-slot pointer; it is a 16-byte
+    // `Waker` now) — so both arms carry equal freight.
     let mut heap: TimerHeap<u64> = TimerHeap::new();
     let mut seq = 0u64;
     let t0 = Instant::now();

@@ -313,11 +313,47 @@ impl<const N: usize> TryFrom<Bytes> for [u8; N] {
 ///
 /// Pushing, appending, and [`slice`](BytesList::slice) never move bytes;
 /// [`flatten`](BytesList::flatten) copies only when the rope holds more
-/// than one segment.
+/// than one segment. Most ropes (a message payload, a slice of one
+/// buffer) hold a single segment, which is stored inline: building,
+/// cloning and slicing such a rope touches no heap.
 #[derive(Clone, Default)]
 pub struct BytesList {
-    segs: Vec<Bytes>,
+    segs: Segs,
     len: u64,
+}
+
+/// Segment storage of a [`BytesList`]; `Many` always holds two or more.
+#[derive(Clone, Default)]
+enum Segs {
+    #[default]
+    Empty,
+    One(Bytes),
+    Many(Vec<Bytes>),
+}
+
+impl Segs {
+    fn as_slice(&self) -> &[Bytes] {
+        match self {
+            Segs::Empty => &[],
+            Segs::One(b) => std::slice::from_ref(b),
+            Segs::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, b: Bytes) {
+        match self {
+            Segs::Empty => *self = Segs::One(b),
+            Segs::One(_) => {
+                let Segs::One(first) = std::mem::take(self) else {
+                    unreachable!("matched One")
+                };
+                let mut segs = Vec::with_capacity(4);
+                segs.extend([first, b]);
+                *self = Segs::Many(segs);
+            }
+            Segs::Many(v) => v.push(b),
+        }
+    }
 }
 
 impl BytesList {
@@ -338,7 +374,7 @@ impl BytesList {
 
     /// The underlying segments (empty segments are never stored).
     pub fn segments(&self) -> &[Bytes] {
-        &self.segs
+        self.segs.as_slice()
     }
 
     /// Append a segment (O(1), no copy).
@@ -352,7 +388,12 @@ impl BytesList {
     /// Append all of `other`'s segments (O(segments), no copy).
     pub fn append(&mut self, other: BytesList) {
         self.len += other.len;
-        self.segs.extend(other.segs);
+        match other.segs {
+            Segs::Empty => {}
+            Segs::One(b) => self.segs.push(b),
+            Segs::Many(v) if matches!(self.segs, Segs::Empty) => self.segs = Segs::Many(v),
+            Segs::Many(v) => v.into_iter().for_each(|b| self.segs.push(b)),
+        }
     }
 
     /// Logical sub-range `[off, off + len)` as a new rope, sharing the
@@ -368,7 +409,7 @@ impl BytesList {
         );
         let mut out = BytesList::new();
         let (mut skip, mut want) = (off, len);
-        for seg in &self.segs {
+        for seg in self.segments() {
             if want == 0 {
                 break;
             }
@@ -385,18 +426,51 @@ impl BytesList {
         out
     }
 
+    /// The little-endian `u64` at logical offset `off`, read in place
+    /// across segment boundaries (message headers): no allocation, and
+    /// like reading through a slice it is not a data-plane copy.
+    ///
+    /// # Panics
+    /// Panics if the eight bytes fall outside the rope.
+    pub fn read_u64_le(&self, off: u64) -> u64 {
+        assert!(
+            off.checked_add(8).is_some_and(|end| end <= self.len),
+            "u64 at {off} outside rope of {} bytes",
+            self.len
+        );
+        let mut word = [0u8; 8];
+        let mut filled = 0usize;
+        let mut skip = off;
+        for seg in self.segments() {
+            let sl = seg.len() as u64;
+            if skip >= sl {
+                skip -= sl;
+                continue;
+            }
+            let from = &seg[skip as usize..];
+            let take = from.len().min(8 - filled);
+            word[filled..filled + take].copy_from_slice(&from[..take]);
+            filled += take;
+            if filled == 8 {
+                break;
+            }
+            skip = 0;
+        }
+        u64::from_le_bytes(word)
+    }
+
     /// Collapse the rope into a single contiguous [`Bytes`]. O(1) when
     /// the rope holds zero or one segment; otherwise one allocation and
     /// one copy of the whole length (counted).
     pub fn flatten(&self) -> Bytes {
-        match self.segs.len() {
-            0 => Bytes::new(),
-            1 => self.segs[0].clone(),
-            _ => {
+        match &self.segs {
+            Segs::Empty => Bytes::new(),
+            Segs::One(b) => b.clone(),
+            Segs::Many(segs) => {
                 tally::count_alloc(self.len);
                 tally::count_copy(self.len);
                 let mut v = Vec::with_capacity(self.len as usize);
-                for seg in &self.segs {
+                for seg in segs {
                     v.extend_from_slice(seg);
                 }
                 Bytes {
@@ -413,7 +487,7 @@ impl BytesList {
         tally::count_alloc(self.len);
         tally::count_copy(self.len);
         let mut v = Vec::with_capacity(self.len as usize);
-        for seg in &self.segs {
+        for seg in self.segments() {
             v.extend_from_slice(seg);
         }
         v
@@ -421,13 +495,18 @@ impl BytesList {
 
     /// Iterate over the logical bytes (for tests and verification).
     pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.segs.iter().flat_map(|s| s.iter().copied())
+        self.segments().iter().flat_map(|s| s.iter().copied())
     }
 }
 
 impl std::fmt::Debug for BytesList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesList({} bytes, {} segs)", self.len, self.segs.len())
+        write!(
+            f,
+            "BytesList({} bytes, {} segs)",
+            self.len,
+            self.segments().len()
+        )
     }
 }
 
@@ -585,6 +664,52 @@ mod tests {
         let mut c = BytesList::new();
         c.append(a.clone());
         assert_eq!(c, b);
+    }
+
+    #[test]
+    fn rope_keeps_segment_order_through_every_storage_shape() {
+        // Empty -> one inline segment -> many, and `append` into an
+        // empty rope adopting the other's segment list.
+        let mut a = BytesList::new();
+        a.push(Bytes::new());
+        assert_eq!(a.segments().len(), 0);
+        a.push(Bytes::from_vec(vec![1]));
+        assert_eq!(a.segments().len(), 1);
+        a.append(BytesList::from(Bytes::from_vec(vec![2, 3])));
+        a.push(Bytes::from_vec(vec![4]));
+        assert_eq!(a.segments().len(), 3);
+        let mut b = BytesList::new();
+        b.append(a.clone());
+        b.append(a.slice(1, 2));
+        assert_eq!(b, vec![1, 2, 3, 4, 2, 3]);
+        assert_eq!(b.slice(3, 2), vec![4, 2]);
+        assert_eq!(b.flatten(), vec![1, 2, 3, 4, 2, 3]);
+    }
+
+    #[test]
+    fn read_u64_le_spans_segments() {
+        let words: Vec<u8> = [7u64, u64::MAX - 5]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let mut rope = BytesList::new();
+        for chunk in words.chunks(3) {
+            rope.push(Bytes::from_vec(chunk.to_vec()));
+        }
+        tally::reset();
+        assert_eq!(rope.read_u64_le(0), 7);
+        assert_eq!(rope.read_u64_le(8), u64::MAX - 5);
+        assert_eq!(
+            rope.read_u64_le(4),
+            u64::from_le_bytes(words[4..12].try_into().unwrap())
+        );
+        assert_eq!(tally::snapshot(), tally::DataPlaneTally::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside rope")]
+    fn read_u64_le_rejects_short_ropes() {
+        BytesList::from(Bytes::from_vec(vec![1; 7])).read_u64_le(0);
     }
 
     #[test]

@@ -71,6 +71,22 @@ struct NodeCache {
     next_seq: Option<(u64, u64)>,
     /// Whether a flush daemon task is currently draining this node.
     flushing: bool,
+    /// Buffers reused by every request at this node, so the lookup
+    /// path allocates only while they grow to the largest request.
+    scratch: Scratch,
+}
+
+/// Per-request working sets of [`BufferCache::read_extents`] and
+/// [`BufferCache::write_extents`]; taken out of the node for the
+/// request's duration and put back with their capacity.
+#[derive(Default)]
+struct Scratch {
+    /// Sorted, deduplicated blocks the request touches.
+    blocks: Vec<u64>,
+    /// Blocks to fetch (demand misses, then read-ahead candidates).
+    missing: Vec<u64>,
+    /// `missing` coalesced into disk transfers.
+    fetch: Vec<Extent>,
 }
 
 impl NodeCache {
@@ -245,10 +261,27 @@ impl BufferCache {
         stall
     }
 
+    /// Collect the sorted union of blocks the local `extents` touch
+    /// (extents may share boundary blocks) into `blocks`, and return the
+    /// request's total bytes. A zero-length extent counts as one byte.
+    fn touched_blocks(&self, extents: &[(u64, u64)], blocks: &mut Vec<u64>) -> u64 {
+        blocks.clear();
+        let mut total = 0u64;
+        for &(offset, bytes) in extents {
+            let bytes = bytes.max(1);
+            total += bytes;
+            blocks.extend(offset / self.block..=(offset + bytes - 1) / self.block);
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        total
+    }
+
     /// Group a sorted list of missing block indices into contiguous
-    /// extents so each seek is paid once per run, not once per block.
-    fn coalesce(missing: &[u64]) -> Vec<Extent> {
-        let mut extents: Vec<Extent> = Vec::new();
+    /// extents (into `extents`) so each seek is paid once per run, not
+    /// once per block.
+    fn coalesce(missing: &[u64], extents: &mut Vec<Extent>) {
+        extents.clear();
         for &b in missing {
             match extents.last_mut() {
                 Some(e) if e.first_block + e.count == b => e.count += 1,
@@ -258,7 +291,6 @@ impl BufferCache {
                 }),
             }
         }
-        extents
     }
 
     /// Serve a read of `[offset, offset + bytes)` in file `uid`'s local
@@ -289,25 +321,32 @@ impl BufferCache {
         arrival: SimTime,
     ) -> SimTime {
         let mut n = self.nodes[node].borrow_mut();
-        // Union of touched blocks (extents may share boundary blocks).
-        let mut total = 0u64;
-        let mut blocks: Vec<u64> = Vec::new();
-        for &(offset, bytes) in extents {
-            let bytes = bytes.max(1);
-            total += bytes;
-            blocks.extend(offset / self.block..=(offset + bytes - 1) / self.block);
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-        if blocks.is_empty() {
+        let mut scratch = std::mem::take(&mut n.scratch);
+        let done = self.read_blocks(&mut n, &mut scratch, node, uid, extents, arrival);
+        n.scratch = scratch;
+        done
+    }
+
+    /// Body of [`BufferCache::read_extents`], working in `s`.
+    fn read_blocks(
+        &self,
+        n: &mut NodeCache,
+        s: &mut Scratch,
+        node: usize,
+        uid: u64,
+        extents: &[(u64, u64)],
+        arrival: SimTime,
+    ) -> SimTime {
+        let total = self.touched_blocks(extents, &mut s.blocks);
+        let (Some(&first), Some(&last)) = (s.blocks.first(), s.blocks.last()) else {
             return arrival;
-        }
+        };
 
         let mut done = arrival;
         let mut hits = 0u64;
         let mut ra_hits = 0u64;
-        let mut missing: Vec<u64> = Vec::new();
-        for &b in &blocks {
+        s.missing.clear();
+        for &b in &s.blocks {
             match n.lru.value(&(uid, b)).copied() {
                 Some(ready_at) => {
                     hits += 1;
@@ -319,49 +358,43 @@ impl BufferCache {
                     }
                     n.lru.touch(&(uid, b));
                 }
-                None => missing.push(b),
+                None => s.missing.push(b),
             }
         }
 
-        let fetch = Self::coalesce(&missing);
-        for e in &fetch {
+        Self::coalesce(&s.missing, &mut s.fetch);
+        for &e in &s.fetch {
             let off = e.first_block * self.block;
             let len = e.count * self.block;
-            let (_, end) = self.book_disk(&mut n, node, uid, off, len, arrival);
+            let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
             done = done.max(end);
             for i in 0..e.count {
-                self.insert_block(&mut n, node, (uid, e.first_block + i), end, false, arrival);
+                self.insert_block(n, node, (uid, e.first_block + i), end, false, arrival);
             }
         }
         self.counters.add_hits(hits);
-        self.counters.add_misses(missing.len() as u64);
+        self.counters.add_misses(s.missing.len() as u64);
         self.counters.add_readahead_hits(ra_hits);
 
         // Sequential read-ahead: if this request continues the previous
         // one, speculatively fetch the next blocks after the demand work.
-        let first = blocks[0];
-        let last = *blocks.last().expect("non-empty");
         let sequential = n.next_seq == Some((uid, first));
         n.next_seq = Some((uid, last + 1));
         if sequential && self.params.read_ahead_blocks > 0 {
-            let ra: Vec<u64> = (last + 1..=last + self.params.read_ahead_blocks as u64)
-                .filter(|&b| !n.lru.contains(&(uid, b)))
-                .collect();
-            if !ra.is_empty() {
-                self.counters.add_readahead_issued(ra.len() as u64);
-                for e in Self::coalesce(&ra) {
+            s.missing.clear();
+            s.missing.extend(
+                (last + 1..=last + self.params.read_ahead_blocks as u64)
+                    .filter(|&b| !n.lru.contains(&(uid, b))),
+            );
+            if !s.missing.is_empty() {
+                self.counters.add_readahead_issued(s.missing.len() as u64);
+                Self::coalesce(&s.missing, &mut s.fetch);
+                for &e in &s.fetch {
                     let off = e.first_block * self.block;
                     let len = e.count * self.block;
-                    let (_, end) = self.book_disk(&mut n, node, uid, off, len, arrival);
+                    let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
                     for i in 0..e.count {
-                        self.insert_block(
-                            &mut n,
-                            node,
-                            (uid, e.first_block + i),
-                            end,
-                            false,
-                            arrival,
-                        );
+                        self.insert_block(n, node, (uid, e.first_block + i), end, false, arrival);
                     }
                 }
             }
@@ -419,29 +452,23 @@ impl BufferCache {
             return done;
         }
 
-        // Union of touched blocks (extents may share boundary blocks).
-        let mut total = 0u64;
-        let mut blocks: Vec<u64> = Vec::new();
-        for &(offset, bytes) in extents {
-            let bytes = bytes.max(1);
-            total += bytes;
-            blocks.extend(offset / self.block..=(offset + bytes - 1) / self.block);
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-        if blocks.is_empty() {
-            return arrival;
-        }
-
+        let mut scratch = std::mem::take(&mut n.scratch);
+        let blocks = &mut scratch.blocks;
+        let total = self.touched_blocks(extents, blocks);
         let mut done = arrival + self.params.hit_overhead + self.mem_time(total);
-        for &b in &blocks {
+        for &b in blocks.iter() {
             if let Some(stall) = self.insert_block(&mut n, node, (uid, b), done, true, arrival) {
                 // The cache was full of dirty data: the writer stalls
                 // behind the eviction writeback.
                 done = done.max(stall);
             }
         }
-        self.counters.add_writes_absorbed(blocks.len() as u64);
+        let absorbed = blocks.len() as u64;
+        n.scratch = scratch;
+        if absorbed == 0 {
+            return arrival;
+        }
+        self.counters.add_writes_absorbed(absorbed);
 
         if n.lru.dirty_len() >= self.high_water && !n.flushing {
             n.flushing = true;
@@ -459,8 +486,7 @@ impl BufferCache {
     fn spawn_flusher(self: &Rc<Self>, node: usize) {
         let cache = Rc::clone(self);
         let handle = self.machine.handle().clone();
-        // Dropping the JoinHandle detaches the task; it keeps running.
-        drop(self.machine.handle().spawn(async move {
+        self.machine.handle().spawn_detached(async move {
             loop {
                 let now = handle.now();
                 match cache.flush_batch(node, now) {
@@ -468,7 +494,7 @@ impl BufferCache {
                     None => break,
                 }
             }
-        }));
+        });
     }
 
     /// Write back one daemon batch of LRU-ordered dirty blocks at
@@ -766,8 +792,13 @@ mod tests {
 
     #[test]
     fn miss_extents_coalesce() {
+        let mut out = vec![Extent {
+            first_block: 99,
+            count: 1,
+        }];
+        BufferCache::coalesce(&[0, 1, 2, 5, 6, 9], &mut out);
         assert_eq!(
-            BufferCache::coalesce(&[0, 1, 2, 5, 6, 9]),
+            out,
             vec![
                 Extent {
                     first_block: 0,
@@ -783,6 +814,7 @@ mod tests {
                 },
             ]
         );
-        assert!(BufferCache::coalesce(&[]).is_empty());
+        BufferCache::coalesce(&[], &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -124,16 +124,22 @@ impl Domain {
 /// Ranks with nothing to contribute send an empty range (`lo >= hi`),
 /// which is ignored in the aggregation so it cannot skew the domain.
 async fn agree_domain(comm: &Comm, lo: u64, hi: u64) -> Option<Domain> {
-    let mut enc = Vec::with_capacity(16);
-    enc.extend_from_slice(&lo.to_le_bytes());
-    enc.extend_from_slice(&hi.to_le_bytes());
-    let all = comm.allgather(Payload::bytes(enc)).await;
+    let range = if lo == 0 && hi == 0 {
+        // The usual empty range: sixteen zero bytes of the shared zero
+        // page, no buffer.
+        zeros(16)
+    } else {
+        let mut enc = Vec::with_capacity(16);
+        enc.extend_from_slice(&lo.to_le_bytes());
+        enc.extend_from_slice(&hi.to_le_bytes());
+        BytesList::from(Bytes::from_vec(enc))
+    };
+    let all = comm.allgather(Payload::bytes(range)).await;
     let mut g_lo = u64::MAX;
     let mut g_hi = 0u64;
-    for p in all {
-        let b = p.into_bytes();
-        let l = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-        let h = u64::from_le_bytes(b[8..].try_into().expect("8 bytes"));
+    for p in &all {
+        let b = p.data.as_ref().expect("domain ranges carry bytes");
+        let (l, h) = (b.read_u64_le(0), b.read_u64_le(8));
         if l < h {
             g_lo = g_lo.min(l);
             g_hi = g_hi.max(h);
@@ -151,32 +157,43 @@ async fn agree_domain(comm: &Comm, lo: u64, hi: u64) -> Option<Domain> {
     })
 }
 
-/// Split `piece` at the domain's region boundaries, yielding
-/// `(owner, piece)` fragments.
-fn route_piece(domain: &Domain, piece: Piece) -> Vec<(usize, Piece)> {
-    let mut out = Vec::new();
+/// Split `piece` at the domain's region boundaries, handing each
+/// `(owner, fragment)` to `emit` in offset order.
+fn route_piece(domain: &Domain, piece: Piece, emit: impl FnMut(usize, Piece)) {
+    split_piece(piece, emit, |off| {
+        let owner = domain.owner_of(off);
+        (owner, domain.owner_region(owner).end())
+    });
+}
+
+/// Cut `piece` into consecutive fragments: `locate(off)` names the
+/// destination of the byte at `off` and the end of the range that
+/// destination takes. Real payloads are sliced (shared views, no copy).
+fn split_piece(
+    piece: Piece,
+    mut emit: impl FnMut(usize, Piece),
+    locate: impl Fn(u64) -> (usize, u64),
+) {
     let mut off = piece.offset;
     let end = piece.end();
     let mut consumed = 0u64;
     while off < end {
-        let owner = domain.owner_of(off);
-        let region_end = domain.owner_region(owner).end();
-        let take = (end - off).min(region_end - off);
+        let (dest, range_end) = locate(off);
+        let take = (end - off).min(range_end - off);
         let payload = match &piece.payload.data {
             Some(d) => Payload::bytes(d.slice(consumed, take)),
             None => Payload::synthetic(take),
         };
-        out.push((
-            owner,
+        emit(
+            dest,
             Piece {
                 offset: off,
                 payload,
             },
-        ));
+        );
         off += take;
         consumed += take;
     }
-    out
 }
 
 /// Serialize a list of pieces into one message payload. Real bytes are
@@ -185,15 +202,18 @@ fn route_piece(domain: &Domain, piece: Piece) -> Vec<(usize, Piece)> {
 /// receiver can account volume precisely; they are small next to the
 /// data). Only the small header is freshly built — the data segments
 /// ride along as shared views.
-fn encode_pieces(pieces: &[Piece]) -> Payload {
-    let all_real = pieces.iter().all(|p| p.payload.data.is_some());
-    let data_len: u64 = pieces.iter().map(|p| p.payload.len).sum();
-    if !all_real {
-        return Payload::synthetic(data_len);
+fn encode_pieces<'a>(pieces: impl ExactSizeIterator<Item = &'a Piece> + Clone) -> Payload {
+    if !pieces.clone().all(|p| p.payload.data.is_some()) {
+        return Payload::synthetic(pieces.map(|p| p.payload.len).sum());
+    }
+    if pieces.len() == 0 {
+        // An empty list is its zero count alone: eight bytes of the
+        // shared zero page, no buffer.
+        return Payload::bytes(zeros(8));
     }
     let mut header = Vec::with_capacity(8 + 16 * pieces.len());
     header.extend_from_slice(&(pieces.len() as u64).to_le_bytes());
-    for p in pieces {
+    for p in pieces.clone() {
         header.extend_from_slice(&p.offset.to_le_bytes());
         header.extend_from_slice(&p.payload.len.to_le_bytes());
     }
@@ -204,28 +224,42 @@ fn encode_pieces(pieces: &[Piece]) -> Payload {
     Payload::bytes(out)
 }
 
-/// Inverse of [`encode_pieces`] for real payloads; `None` for synthetic.
-/// The decoded pieces are views into the received rope — no copy.
-fn decode_pieces(payload: Payload) -> Option<Vec<Piece>> {
-    let bytes = payload.data?;
-    let count = u64::from_le_bytes(
-        bytes
-            .slice(0, 8)
-            .flatten()
-            .try_into()
-            .expect("8-byte count"),
-    ) as usize;
-    let header = bytes.slice(8, 16 * count as u64).flatten();
-    let mut pos = 8 + 16 * count as u64;
-    let mut out = Vec::with_capacity(count);
+/// One message per destination rank, in rank order, listing the
+/// fragments routed to it in routing order. A stable sort on the
+/// destination groups them, so no per-destination buffer is built.
+fn encode_per_dest(procs: usize, mut routed: Vec<(usize, Piece)>) -> Vec<Payload> {
+    routed.sort_by_key(|&(dest, _)| dest);
+    let mut rest = routed.as_slice();
+    let out = (0..procs)
+        .map(|dest| {
+            let n = rest.iter().take_while(|(d, _)| *d == dest).count();
+            let (mine, tail) = rest.split_at(n);
+            rest = tail;
+            encode_pieces(mine.iter().map(|(_, p)| p))
+        })
+        .collect();
+    debug_assert!(rest.is_empty(), "a fragment was routed past the last rank");
+    out
+}
+
+/// Inverse of [`encode_pieces`]: append the decoded pieces to `out` and
+/// return `true`, or return `false` for a synthetic payload. The pieces
+/// are views into the received rope and the header is read in place —
+/// no copy, no intermediate buffers.
+fn decode_pieces(payload: Payload, out: &mut Vec<Piece>) -> bool {
+    let Some(bytes) = payload.data else {
+        return false;
+    };
+    let count = bytes.read_u64_le(0);
+    out.reserve(count as usize);
+    let mut pos = 8 + 16 * count;
     for i in 0..count {
-        let at = i * 16;
-        let off = u64::from_le_bytes(header[at..at + 8].try_into().expect("8"));
-        let len = u64::from_le_bytes(header[at + 8..at + 16].try_into().expect("8"));
+        let off = bytes.read_u64_le(8 + 16 * i);
+        let len = bytes.read_u64_le(16 + 16 * i);
         out.push(Piece::bytes(off, bytes.slice(pos, len)));
         pos += len;
     }
-    Some(out)
+    true
 }
 
 /// Merge sorted pieces into maximal contiguous runs (offset, len, data?).
@@ -271,13 +305,11 @@ pub async fn write_collective(
         return Ok(TwoPhaseStats::default());
     };
     // Route fragments to owners.
-    let mut per_dest: Vec<Vec<Piece>> = (0..comm.size()).map(|_| Vec::new()).collect();
+    let mut routed = Vec::with_capacity(pieces.len());
     for piece in pieces {
-        for (owner, frag) in route_piece(&domain, piece) {
-            per_dest[owner].push(frag);
-        }
+        route_piece(&domain, piece, |owner, frag| routed.push((owner, frag)));
     }
-    let to_each: Vec<Payload> = per_dest.iter().map(|ps| encode_pieces(ps)).collect();
+    let to_each = encode_per_dest(comm.size(), routed);
     let bytes_sent: u64 = to_each
         .iter()
         .enumerate()
@@ -297,10 +329,9 @@ pub async fn write_collective(
     let mut synthetic_bytes = 0u64;
     for p in received {
         let len = p.len;
-        match decode_pieces(p) {
-            Some(ps) => mine.extend(ps),
+        if !decode_pieces(p, &mut mine) {
             // Synthetic envelope: carries exactly the data volume.
-            None => synthetic_bytes += len,
+            synthetic_bytes += len;
         }
     }
     let region = domain.owner_region(comm.rank());
@@ -343,31 +374,15 @@ fn route_by_node(
     striping: &iosim_pfs::Striping,
     procs: usize,
     piece: Piece,
-) -> Vec<(usize, Piece)> {
-    let mut out = Vec::new();
-    let mut off = piece.offset;
-    let end = piece.end();
-    let mut consumed = 0u64;
-    while off < end {
+    emit: impl FnMut(usize, Piece),
+) {
+    split_piece(piece, emit, |off| {
         let unit = off / striping.unit;
-        let unit_end = (unit + 1) * striping.unit;
-        let take = (end - off).min(unit_end - off);
-        let owner = striping.node_of_unit(unit) % procs;
-        let payload = match &piece.payload.data {
-            Some(d) => Payload::bytes(d.slice(consumed, take)),
-            None => Payload::synthetic(take),
-        };
-        out.push((
-            owner,
-            Piece {
-                offset: off,
-                payload,
-            },
-        ));
-        off += take;
-        consumed += take;
-    }
-    out
+        (
+            striping.node_of_unit(unit) % procs,
+            (unit + 1) * striping.unit,
+        )
+    });
 }
 
 /// Cross-rank batched collective write, the command-queue-aware variant
@@ -403,13 +418,13 @@ pub async fn write_collective_batched(
         fh.fs().trace().queue().add_collective_round();
     }
     // Phase 1: route fragments to the aggregator owning their I/O node.
-    let mut per_dest: Vec<Vec<Piece>> = (0..procs).map(|_| Vec::new()).collect();
+    let mut routed = Vec::with_capacity(pieces.len());
     for piece in pieces {
-        for (owner, frag) in route_by_node(&striping, procs, piece) {
-            per_dest[owner].push(frag);
-        }
+        route_by_node(&striping, procs, piece, |owner, frag| {
+            routed.push((owner, frag))
+        });
     }
-    let to_each: Vec<Payload> = per_dest.iter().map(|ps| encode_pieces(ps)).collect();
+    let to_each = encode_per_dest(procs, routed);
     let bytes_sent: u64 = to_each
         .iter()
         .enumerate()
@@ -428,10 +443,7 @@ pub async fn write_collective_batched(
     let mut mine: Vec<Piece> = Vec::new();
     let mut any_synthetic = false;
     for p in received {
-        match decode_pieces(p) {
-            Some(ps) => mine.extend(ps),
-            None => any_synthetic = true,
-        }
+        any_synthetic |= !decode_pieces(p, &mut mine);
     }
     let mut io_calls = 0u64;
     if any_synthetic || mine.iter().any(|p| p.payload.data.is_none()) {
@@ -619,7 +631,7 @@ pub async fn read_collective(
                     None => Piece::synthetic(s.offset, s.len),
                 })
                 .collect();
-            encode_pieces(&pieces)
+            encode_pieces(pieces.iter())
         })
         .collect();
     let bytes_sent: u64 = replies
@@ -642,10 +654,7 @@ pub async fn read_collective(
     let mut frags: Vec<Piece> = Vec::new();
     let mut any_synthetic = false;
     for p in got {
-        match decode_pieces(p) {
-            Some(ps) => frags.extend(ps),
-            None => any_synthetic = true,
-        }
+        any_synthetic |= !decode_pieces(p, &mut frags);
     }
     frags.sort_by_key(|f| f.offset);
     let out: Vec<Payload> = wants
@@ -712,17 +721,27 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let pieces = vec![Piece::bytes(3, vec![7, 8]), Piece::bytes(100, vec![9])];
-        let p = encode_pieces(&pieces);
-        let back = decode_pieces(p).unwrap();
+        let p = encode_pieces(pieces.iter());
+        let mut back = Vec::new();
+        assert!(decode_pieces(p, &mut back));
+        assert_eq!(back, pieces);
+        // An empty list still travels as a real (header-only) message,
+        // built on the shared zero page rather than a fresh buffer.
+        iosim_buf::tally::reset();
+        let empty = encode_pieces([].iter());
+        assert_eq!(empty.len, 8);
+        assert_eq!(iosim_buf::tally::snapshot().buffers_allocated, 0);
+        assert!(decode_pieces(empty, &mut back));
         assert_eq!(back, pieces);
     }
 
     #[test]
     fn encode_synthetic_preserves_data_length() {
-        let pieces = vec![Piece::synthetic(0, 1000), Piece::synthetic(2000, 500)];
-        let p = encode_pieces(&pieces);
+        let pieces = [Piece::synthetic(0, 1000), Piece::synthetic(2000, 500)];
+        let p = encode_pieces(pieces.iter());
         assert!(p.data.is_none());
         assert_eq!(p.len, 1500);
+        assert!(!decode_pieces(p, &mut Vec::new()));
     }
 
     #[test]
@@ -732,7 +751,12 @@ mod tests {
             hi: 100,
             chunk: 25,
         };
-        let frags = route_piece(&d, Piece::bytes(20, (0..20u8).collect::<Vec<_>>()));
+        let mut frags = Vec::new();
+        route_piece(
+            &d,
+            Piece::bytes(20, (0..20u8).collect::<Vec<_>>()),
+            |owner, frag| frags.push((owner, frag)),
+        );
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].0, 0);
         assert_eq!(frags[0].1.offset, 20);

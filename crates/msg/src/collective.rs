@@ -87,15 +87,15 @@ impl Comm {
                 self.send(dst, t, payload.clone()).await;
             }
         }
-        let mut out: Vec<Option<Payload>> = (0..n).map(|_| None).collect();
-        out[self.rank()] = Some(payload);
+        // Every slot is overwritten: ours here, each other rank's by its
+        // one message.
+        let mut out = vec![Payload::synthetic(0); n];
+        out[self.rank()] = payload;
         for _ in 0..n - 1 {
             let (src, p) = self.recv(MatchSrc::Any, t).await;
-            out[src] = Some(p);
+            out[src] = p;
         }
-        out.into_iter()
-            .map(|p| p.expect("all ranks sent"))
-            .collect()
+        out
     }
 
     /// Personalized all-to-all: `to_each[d]` goes to rank `d`; returns the
@@ -110,25 +110,22 @@ impl Comm {
         let t = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
-        let mut out: Vec<Option<Payload>> = (0..n).map(|_| None).collect();
+        // The outgoing payloads are moved out, not cloned, and each
+        // vacated slot then receives the payload from that rank; our own
+        // payload stays in place.
+        let mut slots = to_each;
         // Stagger send order by rank to avoid everyone hammering rank 0
         // first (as real implementations do).
-        for k in 0..n {
+        for k in 1..n {
             let dst = (me + k) % n;
-            let p = to_each[dst].clone();
-            if dst == me {
-                out[me] = Some(p);
-            } else {
-                self.send(dst, t, p).await;
-            }
+            let p = std::mem::replace(&mut slots[dst], Payload::synthetic(0));
+            self.send(dst, t, p).await;
         }
         for _ in 0..n - 1 {
             let (src, p) = self.recv(MatchSrc::Any, t).await;
-            out[src] = Some(p);
+            slots[src] = p;
         }
-        out.into_iter()
-            .map(|p| p.expect("all ranks sent"))
-            .collect()
+        slots
     }
 
     /// Personalized all-to-all with the pairwise-exchange schedule: in
@@ -145,14 +142,16 @@ impl Comm {
         let t = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
+        let mut to_each = to_each;
         let mut out: Vec<Option<Payload>> = (0..n).map(|_| None).collect();
-        out[me] = Some(to_each[me].clone());
+        out[me] = Some(std::mem::replace(&mut to_each[me], Payload::synthetic(0)));
         for k in 1..n {
             let send_to = (me + k) % n;
             let recv_from = (me + n - k) % n;
             // Post the send non-blockingly so reciprocal rounds overlap.
             let round_tag = t + ((k as u64) << 32);
-            let s = self.isend(send_to, round_tag, to_each[send_to].clone());
+            let p = std::mem::replace(&mut to_each[send_to], Payload::synthetic(0));
+            let s = self.isend(send_to, round_tag, p);
             let (_, p) = self.recv(MatchSrc::Rank(recv_from), round_tag).await;
             s.await;
             out[recv_from] = Some(p);

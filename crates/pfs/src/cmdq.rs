@@ -45,9 +45,34 @@ pub(crate) struct DiskCommand {
     /// File identity (head continuations exist only within one file).
     pub uid: u64,
     /// Sorted, merged `(local_offset, bytes)` runs serviced in order.
-    pub runs: Vec<(u64, u64)>,
+    pub runs: CmdRuns,
     /// Resolved with the command's completion instant at dispatch.
     pub done: Event<SimTime>,
+}
+
+/// The local runs of one command. A contiguous request's command has a
+/// single run, kept inline so the booking path does not allocate.
+pub(crate) enum CmdRuns {
+    One((u64, u64)),
+    Many(Vec<(u64, u64)>),
+}
+
+impl CmdRuns {
+    pub fn as_slice(&self) -> &[(u64, u64)] {
+        match self {
+            CmdRuns::One(run) => std::slice::from_ref(run),
+            CmdRuns::Many(runs) => runs,
+        }
+    }
+}
+
+impl From<&[(u64, u64)]> for CmdRuns {
+    fn from(runs: &[(u64, u64)]) -> CmdRuns {
+        match runs {
+            [run] => CmdRuns::One(*run),
+            _ => CmdRuns::Many(runs.to_vec()),
+        }
+    }
 }
 
 /// The per-node command queues of one file system.
@@ -76,7 +101,7 @@ impl CommandQueues {
 
     /// Submit one command to `node`'s queue, counting the booking.
     pub fn submit(&self, node: usize, cmd: DiskCommand) {
-        debug_assert!(!cmd.runs.is_empty(), "empty command");
+        debug_assert!(!cmd.runs.as_slice().is_empty(), "empty command");
         self.counters.add_booking(node);
         self.senders[node].send(cmd);
     }
@@ -100,11 +125,12 @@ async fn node_daemon(
     // All queued commands, in the flat ring; submission order is the
     // ring's sequence order. The payload carries what the dispatch needs
     // beyond the scheduling key: the runs and the completion event.
-    type Payload = (Vec<(u64, u64)>, Event<SimTime>);
+    type Payload = (CmdRuns, Event<SimTime>);
     let mut ring: CmdRing<Payload> = CmdRing::new();
     let mut head: Option<(u64, u64)> = None;
     let push = |ring: &mut CmdRing<Payload>, cmd: DiskCommand| {
-        ring.push(cmd.arrival, cmd.uid, cmd.runs[0].0, (cmd.runs, cmd.done));
+        let first = cmd.runs.as_slice()[0].0;
+        ring.push(cmd.arrival, cmd.uid, first, (cmd.runs, cmd.done));
     };
     loop {
         while let Some(cmd) = rx.try_recv() {
@@ -139,11 +165,12 @@ async fn node_daemon(
             .expect("min-arrival command has arrived");
         stally::add_ring_pick(picked.scanned as u64);
         let (runs, done) = picked.payload;
+        let runs = runs.as_slice();
         let prev_end = match head {
             Some((huid, hend)) if huid == picked.uid => Some(hend),
             _ => None,
         };
-        let end = now + m.disk_service_runs(node, prev_end, &runs);
+        let end = now + m.disk_service_runs(node, prev_end, runs);
         free.pop();
         free.push(Reverse(end));
         let (last_off, last_len) = *runs.last().expect("runs non-empty");

@@ -49,7 +49,7 @@ use iosim_simkit::sync::Event;
 use iosim_simkit::time::SimTime;
 use iosim_trace::{OpKind, TraceCollector};
 
-use crate::cmdq::{CommandQueues, DiskCommand};
+use crate::cmdq::{CmdRuns, CommandQueues, DiskCommand};
 use crate::extent::ExtentTree;
 use crate::layout::Striping;
 use crate::request::IoRequest;
@@ -312,12 +312,13 @@ impl FileSystem {
         let now = h.now();
         let cfg = self.machine.cfg();
         let io_nodes = self.machine.io_nodes();
+        let runs = striping.runs(offset, len);
         if let Some(cmdq) = &self.cmdq {
             // Command-queue path: submit one command per striping run and
             // let the node daemons schedule them (out of FIFO order when
             // profitable). Completion instants arrive via events.
-            let mut waits = Vec::new();
-            for run in striping.runs(offset, len) {
+            let mut waits = Vec::with_capacity(runs.len());
+            for run in runs {
                 let node = (node_base + run.io_node) % io_nodes;
                 let hops = self.machine.topology().io_hops(rank, node);
                 let request_bytes = if is_read { 64 } else { run.bytes };
@@ -328,7 +329,7 @@ impl FileSystem {
                     DiskCommand {
                         arrival,
                         uid,
-                        runs: vec![(run.local_offset, run.bytes)],
+                        runs: CmdRuns::One((run.local_offset, run.bytes)),
                         done: done.clone(),
                     },
                 );
@@ -343,7 +344,7 @@ impl FileSystem {
         }
         let mut latest = now;
         let mut inner = self.inner.borrow_mut();
-        for run in striping.runs(offset, len) {
+        for run in runs {
             let node = (node_base + run.io_node) % io_nodes;
             let hops = self.machine.topology().io_hops(rank, node);
             let request_bytes = if is_read { 64 } else { run.bytes };
@@ -401,72 +402,55 @@ impl FileSystem {
         let now = h.now();
         let cfg = self.machine.cfg();
         let io_nodes = self.machine.io_nodes();
-        // Scatter the global extents into per-node local extent lists.
-        let mut local: Vec<Vec<(u64, u64)>> = vec![Vec::new(); io_nodes];
+        // Scatter the global extents into `(node, local offset, bytes)`
+        // runs, sorted by node then offset: disjoint global extents can
+        // be contiguous in a node's local space, so each node's runs are
+        // merged before booking.
+        let mut local: Vec<(usize, u64, u64)> = Vec::with_capacity(extents.len());
         for &(off, len) in extents {
             for run in striping.runs(off, len) {
                 let node = (node_base + run.io_node) % io_nodes;
-                local[node].push((run.local_offset, run.bytes));
+                local.push((node, run.local_offset, run.bytes));
             }
         }
-        // Disjoint global extents can be contiguous in a node's local
-        // space: sort and merge adjacent local runs per node first.
-        let merged_per_node: Vec<Vec<(u64, u64)>> = local
-            .into_iter()
-            .map(|mut runs| {
-                runs.sort_unstable();
-                let mut merged: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
-                for (off, len) in runs {
-                    match merged.last_mut() {
-                        Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
-                        _ => merged.push((off, len)),
-                    }
+        local.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        let mut waits = Vec::new();
+        let mut latest = now;
+        for group in local.chunk_by(|a, b| a.0 == b.0) {
+            let node = group[0].0;
+            merged.clear();
+            for &(_, off, len) in group {
+                match merged.last_mut() {
+                    Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
+                    _ => merged.push((off, len)),
                 }
-                merged
-            })
-            .collect();
-        if let Some(cmdq) = &self.cmdq {
-            // Command-queue path: each touched node gets its merged run
-            // list as one multi-run command (the per-request overhead is
-            // charged once by `disk_service_runs`, like the legacy arm).
-            let mut waits = Vec::new();
-            for (node, merged) in merged_per_node.into_iter().enumerate() {
-                if merged.is_empty() {
-                    continue;
-                }
-                let node_bytes: u64 = merged.iter().map(|&(_, len)| len).sum();
-                let hops = self.machine.topology().io_hops(rank, node);
-                let request_bytes = if is_read { 64 } else { node_bytes };
-                let arrival = now + cfg.net.transfer_time(request_bytes, hops);
+            }
+            let node_bytes: u64 = merged.iter().map(|&(_, len)| len).sum();
+            let hops = self.machine.topology().io_hops(rank, node);
+            let request_bytes = if is_read { 64 } else { node_bytes };
+            let arrival = now + cfg.net.transfer_time(request_bytes, hops);
+            let response = cfg
+                .net
+                .transfer_time(if is_read { node_bytes } else { 0 }, hops);
+            if let Some(cmdq) = &self.cmdq {
+                // Command-queue path: each touched node gets its merged
+                // run list as one multi-run command (the per-request
+                // overhead is charged once by `disk_service_runs`, like
+                // the direct arm below).
                 let done = Event::new();
                 cmdq.submit(
                     node,
                     DiskCommand {
                         arrival,
                         uid,
-                        runs: merged,
+                        runs: CmdRuns::from(merged.as_slice()),
                         done: done.clone(),
                     },
                 );
-                let response_bytes = if is_read { node_bytes } else { 0 };
-                waits.push((done, cfg.net.transfer_time(response_bytes, hops)));
-            }
-            let mut latest = now;
-            for (done, response) in waits {
-                latest = latest.max(done.wait().await + response);
-            }
-            return latest;
-        }
-        let mut latest = now;
-        let mut inner = self.inner.borrow_mut();
-        for (node, merged) in merged_per_node.into_iter().enumerate() {
-            if merged.is_empty() {
+                waits.push((done, response));
                 continue;
             }
-            let node_bytes: u64 = merged.iter().map(|&(_, len)| len).sum();
-            let hops = self.machine.topology().io_hops(rank, node);
-            let request_bytes = if is_read { 64 } else { node_bytes };
-            let arrival = now + cfg.net.transfer_time(request_bytes, hops);
             let end = if let Some(cache) = &self.cache {
                 if is_read {
                     cache.read_extents(node, uid, &merged, arrival)
@@ -474,35 +458,26 @@ impl FileSystem {
                     cache.write_extents(node, uid, &merged, arrival)
                 }
             } else {
+                let mut inner = self.inner.borrow_mut();
                 let pos = &mut inner.disk_pos[node];
                 let prev_end = match *pos {
                     Some((prev_uid, end)) if prev_uid == uid => Some(end),
                     _ => None,
                 };
-                let (off0, len0) = merged[0];
-                let mut svc = self
-                    .machine
-                    .disk_service_positioned(node, prev_end, off0, len0);
-                let mut head = off0 + len0;
                 // Later runs add their transfer (and an intra-request
                 // seek when discontiguous) but not another per-request
                 // overhead: the node services the whole list as one
                 // daemon request.
-                let base = self.machine.disk_service_time(node, 0, false);
-                for &(off, len) in &merged[1..] {
-                    svc += self
-                        .machine
-                        .disk_service_positioned(node, Some(head), off, len)
-                        .saturating_sub(base);
-                    head = off + len;
-                }
-                *pos = Some((uid, head));
+                let svc = self.machine.disk_service_runs(node, prev_end, &merged);
+                let &(last_off, last_len) = merged.last().expect("group is non-empty");
+                *pos = Some((uid, last_off + last_len));
                 let (_, end) = self.machine.io_queue(node).reserve_at(arrival, svc);
                 end
             };
-            let response_bytes = if is_read { node_bytes } else { 0 };
-            let done = end + cfg.net.transfer_time(response_bytes, hops);
-            latest = latest.max(done);
+            latest = latest.max(end + response);
+        }
+        for (done, response) in waits {
+            latest = latest.max(done.wait().await + response);
         }
         latest
     }

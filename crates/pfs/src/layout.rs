@@ -65,42 +65,41 @@ impl Striping {
 
     /// Decompose `[offset, offset+len)` into per-node contiguous runs.
     ///
-    /// Runs are returned ordered by I/O node of the first touched unit,
-    /// then increasing. A zero-length request yields no runs.
-    pub fn runs(&self, offset: u64, len: u64) -> Vec<Run> {
+    /// Runs are yielded in increasing I/O node index, computed on demand
+    /// (no allocation). A zero-length request yields no runs.
+    pub fn runs(&self, offset: u64, len: u64) -> RunIter {
         if len == 0 {
-            return Vec::new();
+            return RunIter {
+                striping: *self,
+                offset,
+                end: offset,
+                first_unit: 0,
+                last_unit: 0,
+                touched: 0,
+                rotate: 0,
+                next: 0,
+            };
         }
         let first_unit = offset / self.unit;
         let last_unit = (offset + len - 1) / self.unit;
-        let touched_nodes = ((last_unit - first_unit + 1) as usize).min(self.factor);
-        let mut runs: Vec<Option<Run>> = vec![None; self.factor];
-        // Walk the touched units of each node: they are consecutive in the
-        // local fragment, so each node contributes one run. Only the first
-        // `touched_nodes` nodes starting at `first_unit` participate.
-        for i in 0..touched_nodes as u64 {
-            let u0 = first_unit + i; // first touched unit on this node
-            let node = self.node_of_unit(u0);
-            // Bytes of the first touched unit on this node:
-            let u0_start = (u0 * self.unit).max(offset);
-            let u0_end = ((u0 + 1) * self.unit).min(offset + len);
-            let mut bytes = u0_end - u0_start;
-            // Subsequent units on this node: u0 + k*factor, fully or
-            // partially covered.
-            let mut u = u0 + self.factor as u64;
-            while u <= last_unit {
-                let s = u * self.unit; // always >= offset here
-                let e = ((u + 1) * self.unit).min(offset + len);
-                bytes += e - s;
-                u += self.factor as u64;
-            }
-            runs[node] = Some(Run {
-                io_node: node,
-                local_offset: self.local_unit_index(u0) * self.unit + (u0_start - u0 * self.unit),
-                bytes,
-            });
+        let factor = self.factor as u64;
+        // The touched nodes are the `touched` consecutive nodes (mod
+        // factor) starting at the first unit's node. Those that wrap past
+        // the last node index come first in node order, so yield the
+        // touched-order indices rotated by the unwrapped count.
+        let touched = (last_unit - first_unit + 1).min(factor);
+        let first_node = self.node_of_unit(first_unit) as u64;
+        let wrapped = touched.saturating_sub(factor - first_node);
+        RunIter {
+            striping: *self,
+            offset,
+            end: offset + len,
+            first_unit,
+            last_unit,
+            touched,
+            rotate: touched - wrapped,
+            next: 0,
         }
-        runs.into_iter().flatten().collect()
     }
 
     /// Number of distinct I/O nodes a request touches.
@@ -109,6 +108,65 @@ impl Striping {
     }
 }
 
+/// Iterator over the per-node runs of one request; see
+/// [`Striping::runs`].
+#[derive(Clone, Debug)]
+pub struct RunIter {
+    striping: Striping,
+    offset: u64,
+    end: u64,
+    first_unit: u64,
+    last_unit: u64,
+    /// Nodes the request touches (= runs yielded in total).
+    touched: u64,
+    /// Touched-order index of the lowest-numbered node.
+    rotate: u64,
+    /// Runs yielded so far.
+    next: u64,
+}
+
+impl Iterator for RunIter {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        if self.next == self.touched {
+            return None;
+        }
+        let s = &self.striping;
+        let i = (self.next + self.rotate) % self.touched;
+        self.next += 1;
+        // The node's units are u0, u0 + factor, … up to `last_unit`; they
+        // are consecutive in its local fragment, so they form one run.
+        // Only the request's first unit can start mid-unit and only its
+        // last unit can end mid-unit.
+        let u0 = self.first_unit + i;
+        let factor = s.factor as u64;
+        let units = (self.last_unit - u0) / factor + 1;
+        let head = if u0 == self.first_unit {
+            self.offset - u0 * s.unit
+        } else {
+            0
+        };
+        let tail = if (self.last_unit - u0).is_multiple_of(factor) {
+            (self.last_unit + 1) * s.unit - self.end
+        } else {
+            0
+        };
+        Some(Run {
+            io_node: s.node_of_unit(u0),
+            local_offset: s.local_unit_index(u0) * s.unit + head,
+            bytes: units * s.unit - head - tail,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.touched - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RunIter {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +174,7 @@ mod tests {
     #[test]
     fn single_unit_request_hits_one_node() {
         let s = Striping::new(64, 4, 0);
-        let runs = s.runs(0, 64);
+        let runs: Vec<Run> = s.runs(0, 64).collect();
         assert_eq!(
             runs,
             vec![Run {
@@ -130,7 +188,7 @@ mod tests {
     #[test]
     fn request_spanning_all_nodes() {
         let s = Striping::new(64, 4, 0);
-        let runs = s.runs(0, 256);
+        let runs: Vec<Run> = s.runs(0, 256).collect();
         assert_eq!(runs.len(), 4);
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(r.io_node, i);
@@ -143,7 +201,7 @@ mod tests {
     fn large_request_wraps_round_robin() {
         let s = Striping::new(64, 2, 0);
         // Units 0..6: node0 gets 0,2,4 (local 0..192), node1 gets 1,3,5.
-        let runs = s.runs(0, 6 * 64);
+        let runs: Vec<Run> = s.runs(0, 6 * 64).collect();
         assert_eq!(runs.len(), 2);
         assert_eq!(
             runs[0],
@@ -168,7 +226,7 @@ mod tests {
         let s = Striping::new(100, 3, 0);
         // [50, 250): 50 B of unit 0 (node 0), 100 B of unit 1 (node 1),
         // 50 B of unit 2 (node 2).
-        let runs = s.runs(50, 200);
+        let runs: Vec<Run> = s.runs(50, 200).collect();
         assert_eq!(runs.len(), 3);
         assert_eq!(
             runs[0],
@@ -199,11 +257,11 @@ mod tests {
     #[test]
     fn start_node_shifts_mapping() {
         let s = Striping::new(64, 4, 2);
-        let runs = s.runs(0, 64);
+        let runs: Vec<Run> = s.runs(0, 64).collect();
         assert_eq!(runs[0].io_node, 2);
-        let runs = s.runs(64, 64);
+        let runs: Vec<Run> = s.runs(64, 64).collect();
         assert_eq!(runs[0].io_node, 3);
-        let runs = s.runs(128, 64);
+        let runs: Vec<Run> = s.runs(128, 64).collect();
         assert_eq!(runs[0].io_node, 0);
     }
 
@@ -218,7 +276,7 @@ mod tests {
     #[test]
     fn zero_length_request_has_no_runs() {
         let s = Striping::new(64, 4, 0);
-        assert!(s.runs(123, 0).is_empty());
+        assert_eq!(s.runs(123, 0).len(), 0);
     }
 
     #[test]
@@ -227,12 +285,67 @@ mod tests {
         // Units: n0 ← 0,2,4,…  n1 ← 1,3,5,…
         // Request units 3..=4: node1 unit 3 (local idx 1), node0 unit 4
         // (local idx 2).
-        let runs = s.runs(3 * 64, 128);
+        let runs: Vec<Run> = s.runs(3 * 64, 128).collect();
         assert_eq!(runs.len(), 2);
         let n0 = runs.iter().find(|r| r.io_node == 0).unwrap();
         let n1 = runs.iter().find(|r| r.io_node == 1).unwrap();
         assert_eq!(n1.local_offset, 64);
         assert_eq!(n0.local_offset, 128);
+    }
+
+    /// The unit-by-unit decomposition `runs` used to collect: one slot per
+    /// node, filled by walking each touched node's units.
+    fn runs_by_unit_walk(s: &Striping, offset: u64, len: u64) -> Vec<Run> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let first_unit = offset / s.unit;
+        let last_unit = (offset + len - 1) / s.unit;
+        let touched = ((last_unit - first_unit + 1) as usize).min(s.factor);
+        let mut runs: Vec<Option<Run>> = vec![None; s.factor];
+        for u0 in first_unit..first_unit + touched as u64 {
+            let start = (u0 * s.unit).max(offset);
+            let mut bytes = ((u0 + 1) * s.unit).min(offset + len) - start;
+            let mut u = u0 + s.factor as u64;
+            while u <= last_unit {
+                bytes += ((u + 1) * s.unit).min(offset + len) - u * s.unit;
+                u += s.factor as u64;
+            }
+            runs[s.node_of_unit(u0)] = Some(Run {
+                io_node: s.node_of_unit(u0),
+                local_offset: s.local_unit_index(u0) * s.unit + (start - u0 * s.unit),
+                bytes,
+            });
+        }
+        runs.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn runs_match_unit_walk() {
+        for unit in [1u64, 3, 64, 100] {
+            for factor in 1..=6usize {
+                for start in 0..factor {
+                    let s = Striping::new(unit, factor, start);
+                    for offset in (0..4 * unit * factor as u64).step_by(unit as usize / 2 + 1) {
+                        for len in [
+                            0,
+                            1,
+                            unit - 1,
+                            unit,
+                            unit + 1,
+                            2 * unit,
+                            7 * unit + 5,
+                            40 * unit,
+                        ] {
+                            let want = runs_by_unit_walk(&s, offset, len);
+                            let it = s.runs(offset, len);
+                            assert_eq!(it.len(), want.len());
+                            assert_eq!(it.collect::<Vec<_>>(), want, "{s:?} [{offset}, +{len})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[cfg(feature = "heavy-tests")]
@@ -251,7 +364,7 @@ mod tests {
         ) {
             let start = start % factor;
             let s = Striping::new(unit, factor, start);
-            let runs = s.runs(offset, len);
+            let runs: Vec<Run> = s.runs(offset, len).collect();
             let total: u64 = runs.iter().map(|r| r.bytes).sum();
             prop_assert_eq!(total, len);
             // At most one run per node.
@@ -274,8 +387,8 @@ mod tests {
             // first request's run when that node had one ending at a unit
             // boundary shared by both.
             let s = Striping::new(unit, factor, 0);
-            let a = s.runs(offset, len);
-            let b = s.runs(offset + len, len.max(unit * factor as u64));
+            let a: Vec<Run> = s.runs(offset, len).collect();
+            let b: Vec<Run> = s.runs(offset + len, len.max(unit * factor as u64)).collect();
             for rb in &b {
                 if let Some(ra) = a.iter().find(|r| r.io_node == rb.io_node) {
                     prop_assert!(rb.local_offset >= ra.local_offset,

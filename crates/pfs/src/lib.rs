@@ -33,6 +33,6 @@ pub mod request;
 
 pub use extent::ExtentTree;
 pub use fs::{Content, CreateOptions, FileHandle, FileSystem, FsError, STORED_FILE_CAP};
-pub use layout::{Run, Striping};
+pub use layout::{Run, RunIter, Striping};
 pub use modes::{GlobalFile, GlobalState, LogCursor, LogFile, RecordFile, SyncFile};
 pub use request::IoRequest;

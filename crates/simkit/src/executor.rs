@@ -18,16 +18,22 @@
 //! - **Lock-free ready queue.** Tasks are woken through a custom
 //!   [`RawWaker`] vtable over a non-atomic `Rc`, pushing into a plain
 //!   `RefCell<VecDeque>` — no `Mutex`, no atomic reference counts.
-//! - **Slab task storage.** Tasks live in a `Vec<Option<Task>>` indexed by
-//!   task id with a free list; a poll takes the future out of its slot and
-//!   puts it back (two pointer moves), instead of a `HashMap`
-//!   remove + re-insert per poll.
-//! - **One waker per task.** The per-task wake state is allocated once at
-//!   spawn and reused for every poll and every timer; polls borrow it
-//!   without touching the reference count.
+//! - **One allocation per task.** A task's wake state and its future
+//!   share one `Rc` allocation; the future is polled in place and every
+//!   waker handed to it points at that allocation (a per-future-type
+//!   vtable), so polls borrow it without touching the reference count.
+//!   [`SimHandle::spawn`] adds a join slot; [`SimHandle::spawn_detached`]
+//!   does not.
+//! - **Slab task storage.** Tasks live in a `Vec<Option<Slot>>` indexed
+//!   by task id with a free list; a poll clones the task's `Rc` out of its
+//!   slot, instead of a `HashMap` remove + re-insert per poll.
 //! - **Wake deduplication.** A per-task `queued` flag makes duplicate
 //!   wakes of an already-queued task no-ops at enqueue time instead of
 //!   round-tripping through the queue as spurious polls.
+//! - **Wakers in the timer heap.** A pending timer carries its sleep's
+//!   waker itself, so registering and firing one touches no shared slot
+//!   and allocates nothing; the rare sleep re-polled from another task
+//!   leaves its newer waker in a side map that the firing timer checks.
 //! - **Batched timer pops.** All timers at the next instant are popped
 //!   from the heap in one borrow and woken in `(time, seq)` order before
 //!   the ready queue drains again.
@@ -43,7 +49,7 @@
 //! workspace does and which the simulation model (single-threaded virtual
 //! time) rules out by construction.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::mem::ManuallyDrop;
@@ -51,24 +57,17 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use crate::hash::FxHashMap;
 use crate::time::{SimDuration, SimTime};
 use crate::timerheap::TimerHeap;
-
-type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// Shared mutable waker slot: the most recent poller of a [`Sleep`] (or
-/// any future registering a timer) parks its waker here, and the timer
-/// reads the slot at fire time — so re-polling from a different task
-/// (select/race patterns) retargets the timer instead of waking a stale
-/// task.
-type WakerSlot = Rc<Cell<Option<Waker>>>;
 
 /// Ready queue of `(slab index, spawn serial)` pairs. The serial lets the
 /// run loop reject entries whose slot was freed and reused since enqueue.
 type ReadyQueue = Rc<RefCell<VecDeque<(usize, u64)>>>;
 
-/// Per-task wake state, allocated once at spawn and shared (via the raw
-/// vtable below) with every waker handed to the task's polls.
+/// Per-task wake state: the header of a task's single allocation,
+/// shared (via the raw vtables below) with every waker handed to the
+/// task's polls.
 struct WakeState {
     /// Slab index of the task.
     index: usize,
@@ -93,45 +92,104 @@ impl WakeState {
     }
 }
 
-/// Custom waker vtable over `Rc<WakeState>`: cloning and dropping touch a
-/// non-atomic reference count and waking is a flag check plus a `VecDeque`
-/// push — no allocation, no locks, no atomics. See the module-level safety
-/// invariant.
-static WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |ptr| {
-        // SAFETY: `ptr` came from `Rc::into_raw` and the count is
-        // incremented for the new waker before both are used.
-        unsafe { Rc::increment_strong_count(ptr as *const WakeState) };
-        RawWaker::new(ptr, &WAKER_VTABLE)
-    },
-    |ptr| {
-        // SAFETY: consumes the waker's reference.
-        let state = unsafe { Rc::from_raw(ptr as *const WakeState) };
-        state.wake();
-    },
-    |ptr| {
-        // SAFETY: borrows the waker's reference without consuming it.
-        let state = ManuallyDrop::new(unsafe { Rc::from_raw(ptr as *const WakeState) });
-        state.wake();
-    },
-    |ptr| {
-        // SAFETY: consumes the waker's reference.
-        drop(unsafe { Rc::from_raw(ptr as *const WakeState) });
-    },
-);
+/// A spawned task: its wake state and its future in one `Rc`
+/// allocation. The allocation never moves, so the future is polled in
+/// place (pinned); it is dropped in place when the task completes, while
+/// the allocation lives on until the last outstanding waker lets go.
+struct TaskCell<F> {
+    state: WakeState,
+    /// `None` once the task has completed. Only the run loop touches
+    /// it, one poll at a time.
+    fut: UnsafeCell<Option<F>>,
+}
 
-/// A task slot: the future plus its cached wake state.
-struct Task {
-    /// Taken out of the slot for the duration of a poll (so the poll may
-    /// re-borrow the slab to spawn) and put back if still pending.
-    fut: Option<BoxFuture>,
-    state: Rc<WakeState>,
+/// The slab's type-erased view of a [`TaskCell`].
+trait Task {
+    /// Poll the future once under this task's waker. A completed task
+    /// is marked dead and its future dropped before this returns.
+    fn poll(self: Rc<Self>) -> Poll<()>;
+    /// Drop a still-pending future (simulation teardown), breaking any
+    /// cycle through a waker the future holds for its own task.
+    fn abandon(&self);
+}
+
+impl<F: Future<Output = ()> + 'static> TaskCell<F> {
+    /// Waker vtable over `Rc<TaskCell<F>>`: cloning and dropping touch a
+    /// non-atomic reference count and waking is a flag check plus a
+    /// `VecDeque` push — no allocation, no locks, no atomics. See the
+    /// module-level safety invariant.
+    const VTABLE: RawWakerVTable = RawWakerVTable::new(
+        Self::clone_waker,
+        Self::wake_waker,
+        Self::wake_by_ref_waker,
+        Self::drop_waker,
+    );
+
+    // SAFETY (all four): `ptr` came from `Rc::as_ptr` of a live
+    // `Rc<TaskCell<F>>`, and each waker owns one strong count.
+
+    unsafe fn clone_waker(ptr: *const ()) -> RawWaker {
+        Rc::increment_strong_count(ptr as *const Self);
+        RawWaker::new(ptr, &Self::VTABLE)
+    }
+
+    unsafe fn wake_waker(ptr: *const ()) {
+        Rc::from_raw(ptr as *const Self).state.wake();
+    }
+
+    unsafe fn wake_by_ref_waker(ptr: *const ()) {
+        (*(ptr as *const Self)).state.wake();
+    }
+
+    unsafe fn drop_waker(ptr: *const ()) {
+        drop(Rc::from_raw(ptr as *const Self));
+    }
+}
+
+impl<F: Future<Output = ()> + 'static> Task for TaskCell<F> {
+    fn poll(self: Rc<Self>) -> Poll<()> {
+        self.state.queued.set(false);
+        // Lend this `Rc`'s count to the waker without touching it;
+        // `self` outlives the context.
+        // SAFETY: the pointer comes from a live `Rc` and the
+        // `ManuallyDrop` suppresses the borrowed count decrement.
+        let waker = ManuallyDrop::new(unsafe {
+            Waker::from_raw(RawWaker::new(Rc::as_ptr(&self).cast(), &Self::VTABLE))
+        });
+        let mut cx = Context::from_waker(&waker);
+        // SAFETY: only the run loop polls, one poll at a time, so this
+        // is the only reference to the future; it never moves out of the
+        // `Rc` allocation and is dropped in place.
+        let cell = unsafe { &mut *self.fut.get() };
+        let Some(fut) = cell.as_mut() else {
+            return Poll::Ready(());
+        };
+        let poll = unsafe { Pin::new_unchecked(fut) }.poll(&mut cx);
+        if poll.is_ready() {
+            self.state.dead.set(true);
+            *cell = None;
+        }
+        poll
+    }
+
+    fn abandon(&self) {
+        self.state.dead.set(true);
+        // SAFETY: called only at teardown, never during a poll.
+        drop(unsafe { (*self.fut.get()).take() });
+    }
+}
+
+/// A live task in the slab, with its spawn serial kept beside it so the
+/// run loop can reject a stale ready-queue entry without a virtual call.
+struct Slot {
+    serial: u64,
+    task: Rc<dyn Task>,
 }
 
 /// Slab of tasks indexed by task id, with a free list of vacated slots.
 #[derive(Default)]
 struct Slab {
-    slots: Vec<Option<Task>>,
+    slots: Vec<Option<Slot>>,
     free: Vec<usize>,
 }
 
@@ -144,6 +202,14 @@ impl Slab {
                 self.slots.push(None);
                 self.slots.len() - 1
             }
+        }
+    }
+}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        for slot in self.slots.iter().flatten() {
+            slot.task.abandon();
         }
     }
 }
@@ -167,39 +233,17 @@ fn drain_ready(core: &Core) {
     loop {
         let next = core.ready.borrow_mut().pop_front();
         let Some((index, serial)) = next else { break };
-        // Take the future out of its slot for the poll; a vacated or
-        // reused slot means the wake went stale in the queue.
-        let polled = {
-            let mut slab = core.tasks.borrow_mut();
-            match slab.slots[index].as_mut() {
-                Some(task) if task.state.serial == serial => {
-                    task.state.queued.set(false);
-                    task.fut.take().map(|fut| (fut, Rc::clone(&task.state)))
-                }
-                _ => None,
-            }
-        };
-        let Some((mut fut, state)) = polled else {
-            continue;
+        // Hold the task across the poll (which may re-borrow the slab
+        // to spawn); a vacated or reused slot means the wake went stale
+        // in the queue.
+        let task = match &core.tasks.borrow().slots[index] {
+            Some(slot) if slot.serial == serial => Rc::clone(&slot.task),
+            _ => continue,
         };
         core.events_processed.set(core.events_processed.get() + 1);
         core.fingerprint
             .set(fnv_fold(core.fingerprint.get(), serial));
-        // Borrow the cached wake state as a waker without touching
-        // its reference count; `state` outlives the context.
-        // SAFETY: the pointer comes from a live `Rc` and the
-        // `ManuallyDrop` suppresses the borrowed count decrement.
-        let waker = ManuallyDrop::new(unsafe {
-            Waker::from_raw(RawWaker::new(Rc::as_ptr(&state).cast(), &WAKER_VTABLE))
-        });
-        let mut cx = Context::from_waker(&waker);
-        if fut.as_mut().poll(&mut cx).is_pending() {
-            let mut slab = core.tasks.borrow_mut();
-            if let Some(task) = slab.slots[index].as_mut() {
-                task.fut = Some(fut);
-            }
-        } else {
-            state.dead.set(true);
+        if task.poll().is_ready() {
             let mut slab = core.tasks.borrow_mut();
             slab.slots[index] = None;
             slab.free.push(index);
@@ -207,28 +251,42 @@ fn drain_ready(core: &Core) {
     }
 }
 
+/// Fire one popped timer: wake the most recent poller of its [`Sleep`]
+/// and drain the ready queue. The heap entry carries the first poller's
+/// waker; a sleep re-polled from another task before firing left the
+/// newer waker in [`Core::retargets`], which wins.
+fn fire(core: &Core, seq: u64, waker: Waker) {
+    let waker = {
+        let mut retargets = core.retargets.borrow_mut();
+        if retargets.is_empty() {
+            waker
+        } else {
+            retargets.remove(&seq).unwrap_or(waker)
+        }
+    };
+    waker.wake();
+    drain_ready(core);
+}
+
 struct Core {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    /// Pending timers, keyed `(time, seq)`. The 4-ary flat heap pops the
-    /// same total order a binary heap would (seq is unique), at half the
-    /// tree depth.
-    timers: RefCell<TimerHeap<WakerSlot>>,
+    /// Pending timers, keyed `(time, seq)`, each holding the waker of
+    /// its sleep's first poller. The 4-ary flat heap pops the same total
+    /// order a binary heap would (seq is unique), at half the tree depth.
+    timers: RefCell<TimerHeap<Waker>>,
+    /// Newer wakers of pending timers whose sleep was re-polled from
+    /// another task (select/race patterns), by timer seq. Almost always
+    /// empty.
+    retargets: RefCell<FxHashMap<u64, Waker>>,
     ready: ReadyQueue,
     tasks: RefCell<Slab>,
     next_serial: Cell<u64>,
     events_processed: Cell<u64>,
     fingerprint: Cell<u64>,
     /// Reusable buffer for batched same-instant timer pops.
-    timer_batch: RefCell<Vec<WakerSlot>>,
-    /// Recycled waker slots: a completed [`Sleep`] returns its slot here
-    /// so steady-state timer traffic allocates nothing. Bounded so a
-    /// one-off burst of concurrent sleeps cannot pin memory forever.
-    slot_pool: RefCell<Vec<WakerSlot>>,
+    timer_batch: RefCell<Vec<(u64, Waker)>>,
 }
-
-/// Upper bound on [`Core::slot_pool`] retention.
-const SLOT_POOL_CAP: usize = 4096;
 
 /// A cloneable, lightweight handle into a running simulation.
 ///
@@ -259,13 +317,13 @@ impl Sim {
                     now: Cell::new(SimTime::ZERO),
                     seq: Cell::new(0),
                     timers: RefCell::new(TimerHeap::new()),
+                    retargets: RefCell::new(FxHashMap::default()),
                     ready: Rc::new(RefCell::new(VecDeque::new())),
                     tasks: RefCell::new(Slab::default()),
                     next_serial: Cell::new(0),
                     events_processed: Cell::new(0),
                     fingerprint: Cell::new(FNV_OFFSET),
                     timer_batch: RefCell::new(Vec::new()),
-                    slot_pool: RefCell::new(Vec::new()),
                 }),
             },
         }
@@ -306,22 +364,20 @@ impl Sim {
             let mut batch = core.timer_batch.borrow_mut();
             {
                 let mut timers = core.timers.borrow_mut();
-                let Some((time, _seq, slot)) = timers.pop() else {
+                let Some((time, seq, waker)) = timers.pop() else {
                     break;
                 };
                 debug_assert!(time >= core.now.get());
                 core.now.set(time);
                 let instant = time;
-                batch.push(slot);
+                batch.push((seq, waker));
                 while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    batch.push(timers.pop().expect("peeked entry").2);
+                    let (_, seq, waker) = timers.pop().expect("peeked entry");
+                    batch.push((seq, waker));
                 }
             }
-            for slot in batch.drain(..) {
-                if let Some(w) = slot.take() {
-                    w.wake();
-                }
-                drain_ready(core);
+            for (seq, waker) in batch.drain(..) {
+                fire(core, seq, waker);
             }
         }
         core.now.get()
@@ -352,20 +408,18 @@ impl Sim {
                     Some((t, _)) if t >= horizon => return Some(t),
                     Some(_) => {}
                 }
-                let (time, _seq, slot) = timers.pop().expect("peeked entry");
+                let (time, seq, waker) = timers.pop().expect("peeked entry");
                 debug_assert!(time >= core.now.get());
                 core.now.set(time);
                 let instant = time;
-                batch.push(slot);
+                batch.push((seq, waker));
                 while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    batch.push(timers.pop().expect("peeked entry").2);
+                    let (_, seq, waker) = timers.pop().expect("peeked entry");
+                    batch.push((seq, waker));
                 }
             }
-            for slot in batch.drain(..) {
-                if let Some(w) = slot.take() {
-                    w.wake();
-                }
-                drain_ready(core);
+            for (seq, waker) in batch.drain(..) {
+                fire(core, seq, waker);
             }
         }
     }
@@ -415,32 +469,20 @@ impl SimHandle {
         s
     }
 
-    /// Register a timer that, at `deadline`, wakes whatever waker then
-    /// sits in `slot`.
-    /// Take a recycled waker slot (or allocate a fresh one). The slot is
-    /// always empty on return.
-    fn acquire_slot(&self) -> WakerSlot {
-        self.core.slot_pool.borrow_mut().pop().unwrap_or_default()
-    }
-
-    /// Recycle a waker slot if this was the last reference to it (a slot
-    /// still held by an unfired timer entry must not be reused).
-    fn release_slot(&self, slot: WakerSlot) {
-        if Rc::strong_count(&slot) == 1 {
-            slot.set(None);
-            let mut pool = self.core.slot_pool.borrow_mut();
-            if pool.len() < SLOT_POOL_CAP {
-                pool.push(slot);
-            }
-        }
-    }
-
-    pub(crate) fn register_timer(&self, deadline: SimTime, slot: WakerSlot) {
+    /// Register a timer that, at `deadline`, wakes `waker` (or the
+    /// waker a later [`SimHandle::retarget_timer`] names); returns its seq.
+    fn register_timer(&self, deadline: SimTime, waker: Waker) -> u64 {
         let seq = self.next_seq();
         self.core
             .timers
             .borrow_mut()
-            .push(deadline.max(self.now()), seq, slot);
+            .push(deadline.max(self.now()), seq, waker);
+        seq
+    }
+
+    /// Make the pending timer `seq` wake `waker` instead.
+    fn retarget_timer(&self, seq: u64, waker: Waker) {
+        self.core.retargets.borrow_mut().insert(seq, waker);
     }
 
     /// Spawn a task; it begins running when the executor next reaches the
@@ -452,7 +494,7 @@ impl SimHandle {
             finished: false,
         }));
         let slot2 = Rc::clone(&slot);
-        let wrapped: BoxFuture = Box::pin(async move {
+        self.spawn_task(async move {
             let v = fut.await;
             let mut s = slot2.borrow_mut();
             s.value = Some(v);
@@ -461,24 +503,43 @@ impl SimHandle {
                 w.wake();
             }
         });
+        JoinHandle { slot }
+    }
+
+    /// Spawn a task whose completion nobody awaits (fire-and-forget, like
+    /// an open-loop client's request). Scheduling is identical to
+    /// [`SimHandle::spawn`] — same spawn serial, same first poll — but no
+    /// join slot is allocated: the task is one heap allocation.
+    pub fn spawn_detached(&self, fut: impl Future<Output = ()> + 'static) {
+        self.spawn_task(fut);
+    }
+
+    /// Slab a task under the next spawn serial, in one allocation, and
+    /// queue its first poll.
+    fn spawn_task<F: Future<Output = ()> + 'static>(&self, fut: F) {
         let serial = self.core.next_serial.get();
         self.core.next_serial.set(serial + 1);
         let mut slab = self.core.tasks.borrow_mut();
         let index = slab.alloc();
-        let state = Rc::new(WakeState {
-            index,
-            serial,
-            queued: Cell::new(false),
-            dead: Cell::new(false),
-            ready: Rc::clone(&self.core.ready),
-        });
-        slab.slots[index] = Some(Task {
-            fut: Some(wrapped),
-            state: Rc::clone(&state),
-        });
-        drop(slab);
-        state.wake();
-        JoinHandle { slot }
+        // Allocate first and build the task in place: a future is often
+        // hundreds of bytes, and `Rc::new` would copy it once more.
+        let mut task = Rc::<TaskCell<F>>::new_uninit();
+        Rc::get_mut(&mut task)
+            .expect("fresh allocation")
+            .write(TaskCell {
+                state: WakeState {
+                    index,
+                    serial,
+                    queued: Cell::new(false),
+                    dead: Cell::new(false),
+                    ready: Rc::clone(&self.core.ready),
+                },
+                fut: UnsafeCell::new(Some(fut)),
+            });
+        // SAFETY: initialized just above.
+        let task = unsafe { task.assume_init() };
+        task.state.wake();
+        slab.slots[index] = Some(Slot { serial, task });
     }
 
     /// Sleep for `dur` of virtual time.
@@ -491,7 +552,7 @@ impl SimHandle {
         Sleep {
             handle: self.clone(),
             deadline,
-            slot: None,
+            timer: None,
         }
     }
 
@@ -568,11 +629,12 @@ impl<T> Future for JoinHandle<T> {
 pub struct Sleep {
     handle: SimHandle,
     deadline: SimTime,
-    /// Shared waker slot the timer reads at fire time; created on first
-    /// registration and refreshed on every later poll, so the timer wakes
-    /// the *most recent* poller even if the sleep migrated between tasks
-    /// (select/race patterns).
-    slot: Option<WakerSlot>,
+    /// Once registered: the timer's seq and the waker it will wake. The
+    /// timer wakes the *most recent* poller, so a re-poll from another
+    /// task (select/race patterns) retargets it instead of leaving a
+    /// stale waker; a sleep dropped before its deadline still wakes its
+    /// last poller then.
+    timer: Option<(u64, Waker)>,
 }
 
 impl Future for Sleep {
@@ -581,27 +643,21 @@ impl Future for Sleep {
         if self.handle.now() >= self.deadline {
             return Poll::Ready(());
         }
-        match &self.slot {
+        let this = &mut *self;
+        match &mut this.timer {
             None => {
-                let slot = self.handle.acquire_slot();
-                slot.set(Some(cx.waker().clone()));
-                self.handle.register_timer(self.deadline, Rc::clone(&slot));
-                self.slot = Some(slot);
+                let waker = cx.waker().clone();
+                let seq = this.handle.register_timer(this.deadline, waker.clone());
+                this.timer = Some((seq, waker));
             }
-            Some(slot) => match slot.take() {
-                Some(w) if w.will_wake(cx.waker()) => slot.set(Some(w)),
-                _ => slot.set(Some(cx.waker().clone())),
-            },
+            Some((seq, waker)) => {
+                if !waker.will_wake(cx.waker()) {
+                    *waker = cx.waker().clone();
+                    this.handle.retarget_timer(*seq, waker.clone());
+                }
+            }
         }
         Poll::Pending
-    }
-}
-
-impl Drop for Sleep {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.handle.release_slot(slot);
-        }
     }
 }
 
@@ -955,8 +1011,8 @@ mod tests {
     #[test]
     fn sleep_wakes_most_recent_poller() {
         // A Sleep first polled inside one task and then re-polled from a
-        // different task must wake the second task at fire time (the
-        // stale-waker bug fixed by the shared waker slot).
+        // different waker must wake the second one at fire time (the
+        // stale-waker bug of the old register-once `Sleep`).
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
 
@@ -986,6 +1042,140 @@ mod tests {
         // throwaway waker.
         assert_eq!(jh.try_take().unwrap(), SimTime(5_000_000));
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+    }
+
+    type PollLog = Rc<RefCell<Vec<(u32, u64)>>>;
+
+    /// `fut`, logging `(id, virtual ms)` at every poll.
+    fn logged<F: Future + 'static>(
+        id: u32,
+        h: SimHandle,
+        log: PollLog,
+        fut: F,
+    ) -> impl Future<Output = F::Output> {
+        let mut fut = Box::pin(fut);
+        std::future::poll_fn(move |cx| {
+            log.borrow_mut().push((id, h.now().as_nanos() / 1_000_000));
+            fut.as_mut().poll(cx)
+        })
+    }
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    #[test]
+    fn dropped_sleep_still_wakes_its_last_poller_at_its_deadline() {
+        // Task 0 races a 10 ms sleep against a 1 ms one and drops the
+        // loser. Its timer still fires at 10 ms and wakes task 0 (one
+        // extra poll); no other task, such as task 1 sleeping across that
+        // instant, is woken by it.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let log = PollLog::default();
+        let (tx, rx) = crate::sync::channel::<u32>();
+        let h0 = h.clone();
+        sim.spawn(logged(0, h.clone(), Rc::clone(&log), async move {
+            let mut long = h0.sleep(ms(10));
+            let mut short = h0.sleep(ms(1));
+            std::future::poll_fn(|cx| {
+                let _ = Pin::new(&mut long).poll(cx);
+                Pin::new(&mut short).poll(cx)
+            })
+            .await;
+            drop(long);
+            rx.recv().await
+        }));
+        let h1 = h.clone();
+        sim.spawn(logged(1, h.clone(), Rc::clone(&log), async move {
+            h1.sleep(ms(2)).await;
+            h1.sleep(ms(30)).await;
+        }));
+        let h2 = h.clone();
+        sim.spawn(async move {
+            h2.sleep(ms(20)).await;
+            tx.send(7);
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + ms(32));
+        assert_eq!(
+            *log.borrow(),
+            [(0, 0), (1, 0), (0, 1), (1, 2), (0, 10), (0, 20), (1, 32)]
+        );
+    }
+
+    #[test]
+    fn sleep_polled_again_from_another_task_wakes_that_task() {
+        // Task 0 polls a 5 ms sleep once, then moves it into task 1,
+        // which awaits it. The timer must wake task 1, which then
+        // finishes and wakes task 0 through its join handle.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let log = PollLog::default();
+        let (h0, l1) = (h.clone(), Rc::clone(&log));
+        sim.spawn(logged(0, h.clone(), Rc::clone(&log), async move {
+            let mut sleep = h0.sleep(ms(5));
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut sleep).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            let child = h0.spawn(logged(1, h0.clone(), l1, sleep));
+            child.await;
+        }));
+        assert_eq!(sim.run(), SimTime::ZERO + ms(5));
+        assert_eq!(*log.borrow(), [(0, 0), (1, 0), (1, 5), (0, 5)]);
+    }
+
+    #[test]
+    fn same_instant_timers_fire_in_registration_order() {
+        // Three tasks register timers for 10 ms in the reverse of their
+        // spawn order (task 2 at 0 ms, task 1 at 1 ms, task 0 at 2 ms);
+        // at 10 ms they resume in registration (seq) order.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for id in 0..3u32 {
+            let (h, order) = (h.clone(), Rc::clone(&order));
+            sim.spawn(async move {
+                h.sleep(ms(u64::from(2 - id))).await;
+                h.sleep_until(SimTime::ZERO + ms(10)).await;
+                order.borrow_mut().push(id);
+            });
+        }
+        assert_eq!(sim.run(), SimTime::ZERO + ms(10));
+        assert_eq!(*order.borrow(), [2, 1, 0]);
+    }
+
+    #[test]
+    fn late_wake_of_a_finished_task_is_a_noop() {
+        // Task 0 leaks its waker and finishes; task 1 then reuses its
+        // slab slot. Waking the stale waker later polls nobody.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let log = PollLog::default();
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let s0 = Rc::clone(&stash);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *s0.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        let (h2, l1) = (h.clone(), Rc::clone(&log));
+        sim.spawn(async move {
+            h2.sleep(ms(1)).await;
+            let h1 = h2.clone();
+            let reuser = h2.spawn(logged(1, h2.clone(), l1, async move {
+                h1.sleep(ms(5)).await;
+            }));
+            h2.sleep(ms(2)).await;
+            let stale = stash.borrow_mut().take().expect("task 0 left its waker");
+            stale.wake_by_ref();
+            stale.wake();
+            reuser.await;
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + ms(6));
+        assert_eq!(*log.borrow(), [(1, 1), (1, 6)]);
+        // Task 0 once, the driver at 0, 1, 3 and 6 ms, task 1 twice.
+        assert_eq!(sim.events_processed(), 7);
     }
 
     #[test]

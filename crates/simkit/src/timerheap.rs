@@ -34,10 +34,35 @@ const ARITY: usize = 4;
 /// swapping whole entries — the same hole technique `std`'s `BinaryHeap`
 /// uses: the sifted key and payload are held out of the array while
 /// parents/children shift into the hole, and written exactly once at the
-/// final slot.
+/// final slot. Each key is packed into one `u128` (`time` in the high
+/// half, `seq` in the low half), so integer order *is* `(time, seq)`
+/// order and a child compare is a single wide compare that lowers to a
+/// conditional move rather than a branch.
 pub struct TimerHeap<T> {
-    keys: Vec<(SimTime, u64)>,
+    keys: Vec<u128>,
     payloads: Vec<T>,
+}
+
+#[inline]
+fn pack(time: SimTime, seq: u64) -> u128 {
+    ((time.0 as u128) << 64) | seq as u128
+}
+
+#[inline]
+fn unpack(key: u128) -> (SimTime, u64) {
+    (SimTime((key >> 64) as u64), key as u64)
+}
+
+/// The smaller of two `(key, index)` candidates. Keys are unique, so the
+/// tie case never decides anything; written as a plain value select so
+/// the compiler emits conditional moves.
+#[inline(always)]
+fn min_of(a: (u128, usize), b: (u128, usize)) -> (u128, usize) {
+    if b.0 < a.0 {
+        b
+    } else {
+        a
+    }
 }
 
 impl<T> Default for TimerHeap<T> {
@@ -68,12 +93,12 @@ impl<T> TimerHeap<T> {
     /// Key of the earliest entry, if any.
     #[inline]
     pub fn peek(&self) -> Option<(SimTime, u64)> {
-        self.keys.first().copied()
+        self.keys.first().map(|&k| unpack(k))
     }
 
     /// Insert an entry. `seq` must be unique among live entries.
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        self.keys.push((time, seq));
+        self.keys.push(pack(time, seq));
         self.payloads.push(payload);
         self.sift_up(self.keys.len() - 1);
     }
@@ -82,9 +107,11 @@ impl<T> TimerHeap<T> {
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let last_key = self.keys.pop()?;
         let last_pay = self.payloads.pop().expect("parallel vecs");
-        let Some(&(time, seq)) = self.keys.first() else {
-            return Some((last_key.0, last_key.1, last_pay));
+        let Some(&first) = self.keys.first() else {
+            let (time, seq) = unpack(last_key);
+            return Some((time, seq, last_pay));
         };
+        let (time, seq) = unpack(first);
         // The displaced last leaf replaces the root and sifts back down.
         let payload = std::mem::replace(&mut self.payloads[0], last_pay);
         self.keys[0] = last_key;
@@ -127,7 +154,9 @@ impl<T> TimerHeap<T> {
     /// belongs back near the bottom), then the ascent re-inserts it along
     /// the shifted min-chain — usually zero extra moves. Same strategy as
     /// `std`'s `BinaryHeap::pop`; it saves a hard-to-predict branch per
-    /// level on the way down.
+    /// level on the way down. A full group of four children is reduced by
+    /// a branch-free tournament (two pairwise selects, then a final one);
+    /// only the single partial group at the bottom takes the scan.
     fn sift_down_to_bottom(&mut self, mut i: usize) {
         let n = self.keys.len();
         debug_assert!(i < n);
@@ -144,20 +173,19 @@ impl<T> TimerHeap<T> {
                 if first_child >= n {
                     break;
                 }
-                // Smallest of up to four children — a short, branch-friendly
-                // scan over one contiguous key group.
-                let end = (first_child + ARITY).min(n);
-                let mut min = first_child;
-                let mut min_key = *keys.add(first_child);
-                let mut c = first_child + 1;
-                while c < end {
-                    let k = *keys.add(c);
-                    if k < min_key {
-                        min = c;
-                        min_key = k;
+                let (min_key, min) = if first_child + ARITY <= n {
+                    let c = first_child;
+                    min_of(
+                        min_of((*keys.add(c), c), (*keys.add(c + 1), c + 1)),
+                        min_of((*keys.add(c + 2), c + 2), (*keys.add(c + 3), c + 3)),
+                    )
+                } else {
+                    let mut best = (*keys.add(first_child), first_child);
+                    for c in first_child + 1..n {
+                        best = min_of(best, (*keys.add(c), c));
                     }
-                    c += 1;
-                }
+                    best
+                };
                 *keys.add(i) = min_key;
                 std::ptr::copy_nonoverlapping(pays.add(min), pays.add(i), 1);
                 i = min;
@@ -227,6 +255,52 @@ mod tests {
             assert_eq!((t, s), (rt, rs));
         }
         assert!(theirs.is_empty());
+    }
+
+    /// Push `keys` (seq = index) into both heaps, then pop everything and
+    /// require the same `(time, seq)` sequence.
+    fn assert_drains_like_binary_heap(times: &[u64]) {
+        let mut ours: TimerHeap<u64> = TimerHeap::new();
+        let mut theirs: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        for (seq, &t) in times.iter().enumerate() {
+            ours.push(SimTime(t), seq as u64, seq as u64);
+            theirs.push(Reverse((SimTime(t), seq as u64)));
+        }
+        while let Some(Reverse((rt, rs))) = theirs.pop() {
+            let (t, s, p) = ours.pop().expect("same length");
+            assert_eq!((t, s, p), (rt, rs, rs), "heap of {}", times.len());
+        }
+        assert!(ours.is_empty());
+    }
+
+    #[test]
+    fn every_partial_child_group_drains_in_order() {
+        // Sizes 1..=85 fill the first four levels of the 4-ary tree
+        // (1 + 4 + 16 + 64 = 85 slots), so the bottom child group takes
+        // every fill from one to four at every depth: both the
+        // full-group select and the partial-group scan are exercised.
+        let mut rng = SimRng::seed_from(0x5eed_0085);
+        for n in 1..=85usize {
+            let times: Vec<u64> = (0..n).map(|_| rng.range(0, 20)).collect();
+            assert_drains_like_binary_heap(&times);
+            let descending: Vec<u64> = (0..n as u64).rev().collect();
+            assert_drains_like_binary_heap(&descending);
+        }
+    }
+
+    #[test]
+    fn equal_times_pop_in_seq_order() {
+        // All keys share one instant, so only the low (seq) half of the
+        // packed key orders them.
+        for n in [1usize, 2, 3, 4, 5, 17, 85, 300] {
+            assert_drains_like_binary_heap(&vec![7_000; n]);
+        }
+        let mut h = TimerHeap::new();
+        for seq in [9u64, 3, 12, 0, 5] {
+            h.push(SimTime(u64::MAX), seq, ());
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|(_, s, _)| s)).collect();
+        assert_eq!(order, vec![0, 3, 5, 9, 12]);
     }
 
     #[test]

@@ -1148,19 +1148,18 @@ impl OpenLoopShared {
 /// paper's packed/list-I/O interfaces target. Direct replay pays one
 /// file-system request per piece; a vectored request coalesces the
 /// adjacent pieces into a single extent.
-fn fragments_of(op: &TimedOp, fragments: u32) -> Vec<(u64, u64)> {
-    let n = (fragments.max(1) as u64).min(op.len);
-    let frag = op.len / n;
-    (0..n)
-        .map(|k| {
-            let len = if k == n - 1 {
-                op.len - frag * (n - 1)
-            } else {
-                frag
-            };
-            (op.offset + k * frag, len)
-        })
-        .collect()
+fn fragments_of(op: &TimedOp, fragments: u32) -> impl Iterator<Item = (u64, u64)> {
+    let (offset, total) = (op.offset, op.len);
+    let n = (fragments.max(1) as u64).min(total);
+    let frag = total / n;
+    (0..n).map(move |k| {
+        let len = if k == n - 1 {
+            total - frag * (n - 1)
+        } else {
+            frag
+        };
+        (offset + k * frag, len)
+    })
 }
 
 /// Run an open-loop synthetic workload through the machine.
@@ -1181,6 +1180,8 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
     for (c, ops) in clients.into_iter().enumerate() {
         per_rank[c % ranks].push(ops);
     }
+    // Each rank's program is built once; it takes its op lists out.
+    let per_rank = RefCell::new(per_rank);
     let shared = Rc::new(OpenLoopShared {
         latency: RefCell::new(LatencyHistogram::new()),
         completed: Cell::new(0),
@@ -1195,7 +1196,7 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
     let mode = spec.mode;
     let stats = run_world(spec.machine.clone(), ranks, move |ctx| {
         let sh = Rc::clone(&sh);
-        let my_clients = per_rank[ctx.rank].clone();
+        let my_clients = std::mem::take(&mut per_rank.borrow_mut()[ctx.rank]);
         let files = Rc::clone(&files);
         Box::pin(open_loop_rank(
             ctx, sh, my_clients, files, extent, iface, mode,
@@ -1330,7 +1331,7 @@ async fn open_loop_rank(
                         let h3 = h2.clone();
                         // Detached: the next arrival does not
                         // wait for this op — the open loop.
-                        h2.spawn(async move {
+                        h2.spawn_detached(async move {
                             issue_op(&sh, &fhs, &op, mode).await;
                             sh.finish(at, h3.now());
                         });
@@ -1544,7 +1545,7 @@ async fn issue_op(sh: &OpenLoopShared, fhs: &[FileHandle], op: &TimedOp, mode: R
     let exts = fragments_of(op, sh.fragments);
     match mode {
         ReplayMode::ListIo { .. } => {
-            let req = IoRequest::from_extents(exts);
+            let req = IoRequest::from_extents(exts.collect());
             match op.kind {
                 TraceKind::Read => fh.readv_discard(&req).await.expect("open-loop readv"),
                 TraceKind::Write => fh.writev_discard(&req).await.expect("open-loop writev"),

@@ -22,6 +22,9 @@ fn main() {
         return;
     };
     let opts = parse_flags(args);
+    if let Some(known) = accepted_flags(&app) {
+        opts.reject_unknown(&app, known);
+    }
     match app.as_str() {
         "sweep" => {
             run_sweep(&opts);
@@ -61,12 +64,182 @@ impl Opts {
             None => default,
         }
     }
+    /// Like [`Opts::get`], but the value must be greater than zero: a
+    /// count or a size.
+    fn positive<T: std::str::FromStr + PartialOrd + Default>(&self, key: &str, default: T) -> T {
+        let v = self.get(key, default);
+        // `partial_cmp` so that a NaN is rejected along with zero.
+        if v.partial_cmp(&T::default()) != Some(std::cmp::Ordering::Greater) {
+            die(&format!("--{key} must be greater than 0"));
+        }
+        v
+    }
+    /// A finite real value greater than zero: a scale, rate or duration.
+    fn positive_real(&self, key: &str, default: f64) -> f64 {
+        let v = self.positive(key, default);
+        if !v.is_finite() {
+            die(&format!("--{key} must be finite"));
+        }
+        v
+    }
+    /// Exit with an error naming the first flag `app` does not take.
+    fn reject_unknown(&self, app: &str, known: &[&str]) {
+        let mut unknown: Vec<&String> = self
+            .0
+            .keys()
+            .filter(|k| !known.contains(&k.as_str()))
+            .collect();
+        unknown.sort();
+        if let Some(k) = unknown.first() {
+            die(&format!("unknown flag --{k} for {app} (see iosim --help)"));
+        }
+    }
+    /// A fraction in `[0, 1]`.
+    fn fraction(&self, key: &str, default: f64) -> f64 {
+        let v = self.get(key, default);
+        if !(0.0..=1.0).contains(&v) {
+            die(&format!("--{key} must be in [0, 1]"));
+        }
+        v
+    }
+    /// A whole percentage in `[0, 100]`.
+    fn percent(&self, key: &str, default: u32) -> u32 {
+        let v = self.get(key, default);
+        if v > 100 {
+            die(&format!("--{key} must be at most 100"));
+        }
+        v
+    }
     fn flag(&self, key: &str) -> bool {
         self.0.contains_key(key)
     }
     fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.0.get(key).map(String::as_str).unwrap_or(default)
     }
+}
+
+/// The flags each subcommand reads; anything else is a typo or a flag
+/// of another subcommand and is rejected rather than silently ignored.
+/// `None` for the help aliases and unknown subcommands.
+fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
+    Some(match app {
+        "scf11" => &[
+            "input",
+            "version",
+            "procs",
+            "io-nodes",
+            "mem-kb",
+            "stripe-kb",
+            "scale",
+            "cache",
+            "queue-depth",
+            "threads",
+        ],
+        "scf30" => &[
+            "io-nodes",
+            "unbalanced",
+            "no-prefetch",
+            "scale",
+            "cache",
+            "queue-depth",
+            "procs",
+            "cached",
+            "threads",
+        ],
+        "fft" => &[
+            "n",
+            "procs",
+            "optimized",
+            "io-nodes",
+            "mem-mb",
+            "cache",
+            "queue-depth",
+            "threads",
+        ],
+        "btio" => &[
+            "class",
+            "dumps",
+            "verify",
+            "cache",
+            "queue-depth",
+            "procs",
+            "optimized",
+            "threads",
+        ],
+        "ast" => &[
+            "grid",
+            "arrays",
+            "dumps",
+            "restart",
+            "cache",
+            "queue-depth",
+            "procs",
+            "io-nodes",
+            "optimized",
+            "threads",
+        ],
+        "replay" => &[
+            "trace",
+            "seed",
+            "machine",
+            "collective",
+            "batch",
+            "mode",
+            "threads",
+        ],
+        "synth" => &[
+            "rate",
+            "bursty",
+            "mean-on",
+            "mean-off",
+            "clients",
+            "duration",
+            "read-frac",
+            "op-kb",
+            "fragments",
+            "files",
+            "file-mb",
+            "seed",
+            "machine",
+            "cache",
+            "queue-depth",
+            "collective",
+            "batch",
+            "mode",
+            "threads",
+        ],
+        "sweep" => &[
+            "workload",
+            "memo",
+            "threads",
+            "cache",
+            "queue-depth",
+            "agg",
+            "interface",
+            "stripe-kb",
+            "io-nodes",
+            "threads-hint",
+            "scale",
+            "sample",
+            "seed",
+            "memo-file",
+        ],
+        "advise" => &[
+            "workload",
+            "memo",
+            "threads",
+            "cache",
+            "queue-depth",
+            "agg",
+            "interface",
+            "stripe-kb",
+            "io-nodes",
+            "threads-hint",
+            "coarse",
+            "keep",
+        ],
+        _ => return None,
+    })
 }
 
 /// `--threads N` selects the sharded parallel engine with N host
@@ -123,11 +296,11 @@ fn run_scf11(o: &Opts) -> RunResult {
         )),
     };
     let cfg = scf11::Scf11Config {
-        procs: o.get("procs", 4),
-        io_nodes: o.get("io-nodes", 12),
-        mem_kb: o.get("mem-kb", 64),
-        stripe_unit_kb: o.get("stripe-kb", 64),
-        scale: o.get("scale", 1.0),
+        procs: o.positive("procs", 4),
+        io_nodes: o.positive("io-nodes", 12),
+        mem_kb: o.positive("mem-kb", 64),
+        stripe_unit_kb: o.positive("stripe-kb", 64),
+        scale: o.positive_real("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf11::Scf11Config::new(input, version)
@@ -148,16 +321,16 @@ fn run_scf11(o: &Opts) -> RunResult {
 
 fn run_scf30(o: &Opts) -> RunResult {
     let cfg = scf30::Scf30Config {
-        io_nodes: o.get("io-nodes", 16),
+        io_nodes: o.positive("io-nodes", 16),
         balanced: !o.flag("unbalanced"),
         prefetch: !o.flag("no-prefetch"),
-        scale: o.get("scale", 1.0),
+        scale: o.positive_real("scale", 1.0),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..scf30::Scf30Config::new(
             scf11::ScfInput::Medium,
-            o.get("procs", 32),
-            o.get("cached", 90),
+            o.positive("procs", 32),
+            o.percent("cached", 90),
         )
     };
     eprintln!(
@@ -173,9 +346,13 @@ fn run_scf30(o: &Opts) -> RunResult {
 }
 
 fn run_fft(o: &Opts) -> RunResult {
-    let mut cfg = fft::FftConfig::new(o.get("n", 1024), o.get("procs", 4), o.flag("optimized"));
-    cfg.io_nodes = o.get("io-nodes", 2);
-    cfg.mem_per_proc = o.get("mem-mb", 16u64) << 20;
+    let mut cfg = fft::FftConfig::new(
+        o.positive("n", 1024),
+        o.positive("procs", 4),
+        o.flag("optimized"),
+    );
+    cfg.io_nodes = o.positive("io-nodes", 2);
+    cfg.mem_per_proc = o.positive("mem-mb", 16u64) << 20;
     cfg.cache_mb = o.get("cache", 0);
     cfg.queue_depth = o.get("queue-depth", 1);
     eprintln!(
@@ -195,7 +372,9 @@ fn run_btio(o: &Opts) -> RunResult {
         other => {
             let n: u64 = other
                 .parse()
-                .unwrap_or_else(|_| die("class must be a, b, or a grid size"));
+                .ok()
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| die("class must be a, b, or a positive grid size"));
             btio::BtClass::Custom(n)
         }
     };
@@ -204,7 +383,7 @@ fn run_btio(o: &Opts) -> RunResult {
         verify: o.flag("verify"),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
-        ..btio::BtioConfig::new(class, o.get("procs", 16), o.flag("optimized"))
+        ..btio::BtioConfig::new(class, o.positive("procs", 16), o.flag("optimized"))
     };
     eprintln!(
         "BTIO {} ({}³ grid), {} procs, {} dumps, optimized={}",
@@ -222,15 +401,15 @@ fn run_btio(o: &Opts) -> RunResult {
 
 fn run_ast(o: &Opts) -> RunResult {
     let cfg = ast::AstConfig {
-        grid: o.get("grid", 2048),
-        arrays: o.get("arrays", 4),
+        grid: o.positive("grid", 2048),
+        arrays: o.positive("arrays", 4),
         dumps: o.get("dumps", 10),
         restart: o.flag("restart"),
         cache_mb: o.get("cache", 0),
         queue_depth: o.get("queue-depth", 1),
         ..ast::AstConfig::new(
-            o.get("procs", 16),
-            o.get("io-nodes", 16),
+            o.positive("procs", 16),
+            o.positive("io-nodes", 16),
             o.flag("optimized"),
         )
     };
@@ -261,7 +440,7 @@ fn replay_spec(
     use iosim::workload::engine::ReplaySpec;
     // `--collective BATCH` is the original spelling of two-phase mode.
     let collective: usize = o.get("collective", 0);
-    let batch: usize = o.get("batch", 32);
+    let batch: usize = o.positive("batch", 32);
     let mode = if collective > 0 {
         "twophase"
     } else {
@@ -313,26 +492,26 @@ fn run_replay(o: &Opts) -> RunResult {
 
 fn run_synth(o: &Opts) -> RunResult {
     use iosim::workload::{ArrivalModel, SynthSpec};
-    let rate: f64 = o.get("rate", 20.0);
+    let rate: f64 = o.positive_real("rate", 20.0);
     let arrival = if o.flag("bursty") {
         ArrivalModel::Bursty {
             on_rate: rate,
-            mean_on: o.get("mean-on", 0.1),
-            mean_off: o.get("mean-off", 0.3),
+            mean_on: o.positive_real("mean-on", 0.1),
+            mean_off: o.positive_real("mean-off", 0.3),
         }
         .with_mean_rate(rate)
     } else {
         ArrivalModel::Poisson { rate }
     };
     let synth = SynthSpec {
-        clients: o.get("clients", 64),
-        duration: iosim::simkit::time::SimDuration::from_secs_f64(o.get("duration", 1.0)),
+        clients: o.positive("clients", 64),
+        duration: iosim::simkit::time::SimDuration::from_secs_f64(o.positive_real("duration", 1.0)),
         arrival,
-        read_frac: o.get("read-frac", 0.5),
-        op_bytes: o.get("op-kb", 64u64) << 10,
+        read_frac: o.fraction("read-frac", 0.5),
+        op_bytes: o.positive("op-kb", 64u64) << 10,
         fragments: o.get("fragments", 8),
-        files: o.get("files", 4),
-        file_bytes: o.get("file-mb", 64u64) << 20,
+        files: o.positive("files", 4),
+        file_bytes: o.positive("file-mb", 64u64) << 20,
         seed: o.get("seed", 42),
     };
     let mut machine = machine_preset(o);
@@ -453,7 +632,10 @@ fn run_sweep(o: &Opts) {
         .into_iter()
         .map(|h| Query::new(workload, h).expect("workload validated above"))
         .collect();
-    let scale: f64 = o.get("scale", 1.0);
+    let scale: f64 = o.positive_real("scale", 1.0);
+    if scale > 1.0 {
+        die("--scale must be in (0, 1]");
+    }
     // --memo-file persists the memo cache across processes (--memo N is
     // the in-memory capacity). A missing or corrupt file starts cold.
     let memo_file = o.0.get("memo-file").map(std::path::PathBuf::from);
@@ -580,7 +762,8 @@ fn usage() {
     println!(
         "usage: iosim <scf11|scf30|fft|btio|ast|replay|synth|sweep|advise> [--flag value]...\n\
          \n\
-         common flags: --procs N --io-nodes N --scale X --optimized\n\
+         common flags (where the application takes them; unknown flags are rejected):\n\
+         \x20             --procs N --io-nodes N --scale X --optimized\n\
          \x20             --cache MB   per-I/O-node LRU buffer cache (0 = off, the default)\n\
          \x20             --queue-depth N   I/O-node command-queue depth (1 = FIFO, the default)\n\
          \x20             --threads N  host threads for the sharded engine (default: $IOSIM_THREADS, else 1);\n\

@@ -22,6 +22,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "== workspace tests =="
 cargo test -q --offline --workspace
 
+echo "== perfbench smoke (every job repeats the warm-up job exactly) =="
+# The benchmark package has its own workspace; its tests run each
+# workload briefly and fail when any job's simulated results, work
+# counts or data-plane tallies differ from the warm-up job's, so a
+# hot-path change that makes a run depend on host state (a cache that
+# survives between jobs, say) fails here rather than only under the
+# benchmark gate.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== sharded engine determinism (IOSIM_THREADS=1 and =4) =="
 # The parallel engine must produce bit-identical virtual times and
 # schedule fingerprints at any worker count. Run the scheduler snapshot
