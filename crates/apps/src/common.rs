@@ -121,6 +121,35 @@ impl RunResult {
     }
 }
 
+/// The workload engine's measurements are field-for-field an
+/// application's, so trace replays and open-loop runs report through the
+/// same type.
+impl From<iosim_workload::RunStats> for RunResult {
+    fn from(s: iosim_workload::RunStats) -> RunResult {
+        RunResult {
+            procs: s.procs,
+            io_nodes: s.io_nodes,
+            exec_time: s.exec_time,
+            io_time: s.io_time,
+            cum_io_time: s.cum_io_time,
+            summary: s.summary,
+            io_bytes: s.io_bytes,
+            io_ops: s.io_ops,
+            read_sizes: s.read_sizes,
+            write_sizes: s.write_sizes,
+            balance: s.balance,
+            cache: s.cache,
+            listio: s.listio,
+            queue: s.queue,
+            sim_events: s.sim_events,
+            sched_fingerprint: s.sched_fingerprint,
+            sync_rounds: s.sync_rounds,
+            shard_mem: s.shard_mem,
+            host_elapsed: s.host_elapsed,
+        }
+    }
+}
+
 /// Apply an application-level cache knob to a machine config:
 /// `cache_mb` megabytes of LRU buffer cache per I/O node, `0` keeping
 /// the machine uncached (the presets' default).

@@ -10,7 +10,6 @@ pub mod dsp;
 pub mod fft;
 pub mod hinted;
 pub mod registry;
-pub mod replay;
 pub mod scf11;
 pub mod scf30;
 

@@ -603,7 +603,7 @@ impl Default for AdviseOpts {
 
 /// One successive-halving round: the fidelity it ran at and the
 /// candidate count *entering* it. Candidate counts are non-increasing
-/// by construction; `bench check` enforces that on the recorded report.
+/// by construction (the halving unit test checks it).
 #[derive(Clone, Copy, Debug)]
 pub struct Round {
     /// Fidelity scale of the round.
@@ -968,44 +968,61 @@ mod tests {
 
     #[test]
     fn halving_prunes_at_least_half_and_matches_exhaustive() {
-        let grid = HintGrid {
+        let knobs = HintGrid {
             cache_mb: vec![0, 2],
             io_queue_depth: vec![1, 8],
             io_nodes: vec![2, 4],
-            interface: vec![iosim_machine::Interface::Passion],
             ..HintGrid::default()
         };
-        let mut adv = BatchAdvisor::new(256, 2);
-        let report = adv.advise("synth", &grid, &AdviseOpts::default()).unwrap();
-        assert_eq!(report.unique, 8);
-        assert!(
-            report.survivors.len() * 2 <= report.unique,
-            "pruned less than half: {} of {}",
-            report.survivors.len(),
-            report.unique
-        );
-        assert!(report.pruning_ratio >= 0.5);
-        // Exhaustive full-fidelity search must name the same winner.
-        let queries: Vec<Query> = grid
-            .enumerate()
-            .into_iter()
-            .map(|h| Query::new("synth", h).unwrap())
-            .collect();
-        let mut exhaustive = BatchAdvisor::new(256, 2);
-        let all = exhaustive.evaluate(&queries, 1.0).unwrap();
-        let winner = all
-            .rows
-            .iter()
-            .min_by_key(|r| (r.summary.exec_ns, r.fingerprint))
-            .unwrap();
-        assert_eq!(winner.fingerprint, report.best.fingerprint);
-        assert_eq!(winner.summary, report.best.summary);
-        // Rounds: candidate counts non-increasing, last round full scale.
-        assert!(report
-            .rounds
-            .windows(2)
-            .all(|w| w[1].candidates <= w[0].candidates));
-        assert_eq!(report.rounds.last().unwrap().scale, 1.0);
+        // An 8-point grid on a fixed interface, and a 16-point grid that
+        // also varies the stripe unit on the default interface.
+        let grids = [
+            HintGrid {
+                interface: vec![iosim_machine::Interface::Passion],
+                ..knobs.clone()
+            },
+            HintGrid {
+                stripe_unit_kb: vec![64, 256],
+                ..knobs
+            },
+        ];
+        for (grid, points) in grids.iter().zip([8, 16]) {
+            let mut adv = BatchAdvisor::new(256, 2);
+            let report = adv.advise("synth", grid, &AdviseOpts::default()).unwrap();
+            assert_eq!(report.unique, points);
+            assert!(
+                report.survivors.len() * 2 <= report.unique,
+                "{points}-point grid pruned less than half: {} of {}",
+                report.survivors.len(),
+                report.unique
+            );
+            assert!(report.pruning_ratio >= 0.5);
+            // Exhaustive full-fidelity search must name the same winner.
+            let queries: Vec<Query> = grid
+                .enumerate()
+                .into_iter()
+                .map(|h| Query::new("synth", h).unwrap())
+                .collect();
+            let mut exhaustive = BatchAdvisor::new(256, 2);
+            let all = exhaustive.evaluate(&queries, 1.0).unwrap();
+            let winner = all
+                .rows
+                .iter()
+                .min_by_key(|r| (r.summary.exec_ns, r.fingerprint))
+                .unwrap();
+            assert_eq!(
+                winner.fingerprint, report.best.fingerprint,
+                "{points}-point grid"
+            );
+            assert_eq!(winner.summary, report.best.summary, "{points}-point grid");
+            // Rounds: candidate counts non-increasing, last round full
+            // scale.
+            assert!(report
+                .rounds
+                .windows(2)
+                .all(|w| w[1].candidates <= w[0].candidates));
+            assert_eq!(report.rounds.last().unwrap().scale, 1.0);
+        }
     }
 
     #[test]

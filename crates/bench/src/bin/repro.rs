@@ -139,39 +139,6 @@ fn main() {
     }
     println!("shape checks: {holds}/{total} hold (or partial)");
     let _ = writeln!(md, "\n**Shape checks: {holds}/{total} hold (✓ or ~).**");
-    if write_md.is_some() {
-        // When regenerating the markdown, also re-run the per-structure
-        // microbenchmark ladder (DESIGN.md §19) so the document carries
-        // the flat-vs-std before/after alongside the paper tables. Host
-        // wall-clock, so the ratios are container-relative like the rest
-        // of the timings here.
-        eprintln!("[struct_ops] running the flat-structure ladder");
-        let r = iosim_bench::structs::run_struct_storms(false);
-        let _ = writeln!(
-            md,
-            "\n## Appendix: flat-structure microbenchmark ladder (host wall-clock)\n\n\
-             Each flat core structure vs a twin of the std-collection code it\n\
-             replaced (transplanted verbatim from git history), replaying one\n\
-             pregenerated op sequence per pair — `bench structs`, recorded in\n\
-             the `struct_ops` section of BENCH_wallclock.json (DESIGN.md §19).\n\n\
-             | structure | flat ops/s | std twin ops/s | speedup |\n\
-             |---|---:|---:|---:|"
-        );
-        for (name, p) in r.pairs() {
-            let _ = writeln!(
-                md,
-                "| {name} | {:.0} | {:.0} | {:.2}x |",
-                p.flat.ops_per_sec(),
-                p.std_twin.ops_per_sec(),
-                p.speedup(),
-            );
-        }
-        let _ = writeln!(
-            md,
-            "\nExtent cursor hit rate over the storm: {:.1} %.",
-            r.extent_cursor_hit_rate * 100.0
-        );
-    }
     if let Some(path) = write_md {
         std::fs::write(&path, md).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         eprintln!("wrote {path}");

@@ -1112,8 +1112,7 @@ fn shard_scaling_synth() -> (iosim_workload::SynthSpec, iosim_workload::ReplaySp
 }
 
 /// Run one shard-scaling workload at `threads` host threads and sample
-/// its schedule and throughput (shared by extension 11 and the
-/// `bench wallclock` `shard_scaling` section).
+/// its schedule and throughput (one cell of extension 11).
 pub fn run_shard_scaling_config(name: &str, threads: usize) -> ShardRunSample {
     use iosim_apps::{btio, fft};
     use iosim_workload::run_open_loop_threaded;
@@ -1156,214 +1155,6 @@ pub fn run_shard_scaling_config(name: &str, threads: usize) -> ShardRunSample {
         events_per_sec: if s > 0.0 { sim_events as f64 / s } else { 0.0 },
         virtual_exec_s,
         fingerprint,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded-replay scaling study (the 10k-rank story)
-
-/// Configs of the sharded-replay scaling study, in report order: the
-/// committed dep-edged sample trace (cross-shard dependency tokens on
-/// every shard boundary), a 10k-rank strided replay, and a 10k-client
-/// open-loop synthetic.
-pub const REPLAY_SHARD_NAMES: [&str; 3] = ["replay_dep_sample", "replay_10k", "synth_10k"];
-
-/// Ranks (and clients) of the scale-story scenarios. Smoke runs scale
-/// this down 10x so debug-mode test suites stay fast; the committed
-/// `BENCH_wallclock.json` records the full population.
-pub const REPLAY_SCALE_RANKS: usize = 10_000;
-
-/// One measured cell of the sharded-replay ladder.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayShardSample {
-    /// Host threads requested.
-    pub threads: usize,
-    /// Host wall time of the adaptive-lookahead run.
-    pub wall: std::time::Duration,
-    /// Barrier rounds under the adaptive lookahead window.
-    pub adaptive_rounds: u64,
-    /// Barrier rounds under the static (mesh-floor) lookahead; same
-    /// schedule, more synchronization.
-    pub static_rounds: u64,
-    /// Virtual completion time — must be identical across thread counts.
-    pub virtual_exec_s: f64,
-    /// Combined schedule fingerprint — must be identical across thread
-    /// counts.
-    pub fingerprint: u64,
-    /// Peak simulation footprint of the worst single shard (bytes).
-    pub shard_mem_peak: u64,
-}
-
-/// The per-shard memory half of the scale story: the same population
-/// decomposed wide (many shards, few ranks each) and narrow (few
-/// shards, many ranks each). Memory scaling with ranks-per-shard rather
-/// than total ranks means `wide_peak < narrow_peak`.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayMemScaling {
-    /// Total replayed ranks.
-    pub ranks: usize,
-    /// Shards of the wide decomposition.
-    pub wide_shards: usize,
-    /// Worst-shard peak footprint of the wide decomposition (bytes).
-    pub wide_peak: u64,
-    /// Shards of the narrow decomposition.
-    pub narrow_shards: usize,
-    /// Worst-shard peak footprint of the narrow decomposition (bytes).
-    pub narrow_peak: u64,
-}
-
-fn replay_scale_ranks(smoke: bool) -> usize {
-    if smoke {
-        REPLAY_SCALE_RANKS / 10
-    } else {
-        REPLAY_SCALE_RANKS
-    }
-}
-
-/// Scale the SP-2 preset out to `ranks` compute nodes: the preset's
-/// mesh is sized for its stock partition, so growing the rank count
-/// also needs a mesh that can seat them — a near-square one keeps hop
-/// distances (and thus the derived lookahead) representative.
-fn scale_machine(ranks: usize, io_nodes: usize) -> iosim_machine::MachineConfig {
-    let cols = ((ranks as f64).sqrt().ceil() as usize).max(1);
-    let rows = ranks.div_ceil(cols);
-    let mut m = presets::sp2()
-        .with_compute_nodes(ranks)
-        .with_io_nodes(io_nodes);
-    m.mesh = iosim_machine::MeshDims { rows, cols };
-    m
-}
-
-fn replay_dep_sample_inputs() -> (iosim_workload::OpStream, iosim_workload::ReplaySpec) {
-    use iosim_workload::{parse_any, ReplaySpec};
-    const SAMPLE: &str = include_str!("../../../../tests/data/sample_opstream.trace");
-    let stream = parse_any(SAMPLE, 42).expect("committed sample trace parses");
-    // SP-2: 4 I/O nodes, so the 4-rank trace spreads one rank per shard
-    // and every `<-dep` edge crosses a shard boundary.
-    (stream, ReplaySpec::direct(presets::sp2()))
-}
-
-/// The 10k-rank replay: every rank writes one private 4 KB record into
-/// a shared strided extent, then reads its right neighbour's record
-/// back. Dep-free (legacy format), so the adaptive window collapses the
-/// round count while the static floor pays one round per window.
-fn replay_scale_inputs(
-    ranks: usize,
-    io_nodes: usize,
-) -> (iosim_workload::OpStream, iosim_workload::ReplaySpec) {
-    use iosim_workload::{OpStream, ReplaySpec, TraceKind, TraceOp};
-    let record = 4096u64;
-    let mut ops = Vec::with_capacity(2 * ranks);
-    for r in 0..ranks {
-        ops.push(TraceOp {
-            rank: r,
-            kind: TraceKind::Write,
-            offset: r as u64 * record,
-            len: record,
-        });
-    }
-    for r in 0..ranks {
-        ops.push(TraceOp {
-            rank: r,
-            kind: TraceKind::Read,
-            offset: ((r + 1) % ranks) as u64 * record,
-            len: record,
-        });
-    }
-    let machine = scale_machine(ranks, io_nodes);
-    (OpStream::from_legacy(&ops), ReplaySpec::direct(machine))
-}
-
-/// The 10k-client open-loop synthetic: a short Poisson window at ~1 op
-/// per client, on the same wide machine as the 10k replay.
-fn synth_scale_inputs(
-    clients: usize,
-    io_nodes: usize,
-) -> (iosim_workload::SynthSpec, iosim_workload::ReplaySpec) {
-    use iosim_simkit::time::SimDuration;
-    use iosim_workload::{ReplaySpec, SynthSpec};
-    let mut synth = SynthSpec::small(2.0, 4242);
-    synth.clients = clients;
-    synth.duration = SimDuration::from_secs_f64(0.5);
-    synth.op_bytes = 16 << 10;
-    synth.fragments = 1;
-    synth.files = 4;
-    synth.file_bytes = 16 << 20;
-    let machine = scale_machine(clients, io_nodes);
-    (synth, ReplaySpec::direct(machine))
-}
-
-/// Shards of the scale-story decompositions: wide is the ladder's
-/// default; narrow packs 4x more ranks per shard.
-const REPLAY_WIDE_SHARDS: usize = 16;
-const REPLAY_NARROW_SHARDS: usize = 4;
-
-/// Run one sharded-replay config at `threads` host threads, measuring
-/// the adaptive run and re-running the static-lookahead engine for its
-/// round count (virtual observables of the two are asserted equal — the
-/// lookahead window paces synchronization, never the schedule).
-pub fn run_replay_shard_config(name: &str, threads: usize, smoke: bool) -> ReplayShardSample {
-    use iosim_workload::{
-        replay_threaded, replay_threaded_static, run_open_loop_threaded,
-        run_open_loop_threaded_static,
-    };
-    let ranks = replay_scale_ranks(smoke);
-    let (adaptive, statik) = match name {
-        "replay_dep_sample" => {
-            let (stream, spec) = replay_dep_sample_inputs();
-            let a = replay_threaded(&stream, &spec, threads);
-            let s = replay_threaded_static(&stream, &spec, threads);
-            (a.stats, s.stats)
-        }
-        "replay_10k" => {
-            let (stream, spec) = replay_scale_inputs(ranks, REPLAY_WIDE_SHARDS);
-            let a = replay_threaded(&stream, &spec, threads);
-            let s = replay_threaded_static(&stream, &spec, threads);
-            (a.stats, s.stats)
-        }
-        "synth_10k" => {
-            let (synth, spec) = synth_scale_inputs(ranks, REPLAY_WIDE_SHARDS);
-            let a = run_open_loop_threaded(&synth, &spec, threads);
-            let s = run_open_loop_threaded_static(&synth, &spec, threads);
-            (a.stats, s.stats)
-        }
-        other => panic!("unknown sharded-replay config {other}"),
-    };
-    assert_eq!(
-        adaptive.sched_fingerprint, statik.sched_fingerprint,
-        "{name}: lookahead policy moved the schedule"
-    );
-    assert_eq!(
-        adaptive.exec_time, statik.exec_time,
-        "{name}: lookahead policy moved virtual time"
-    );
-    ReplayShardSample {
-        threads,
-        wall: adaptive.host_elapsed,
-        adaptive_rounds: adaptive.sync_rounds,
-        static_rounds: statik.sync_rounds,
-        virtual_exec_s: adaptive.exec_time.as_secs_f64(),
-        fingerprint: adaptive.sched_fingerprint,
-        shard_mem_peak: adaptive.shard_mem.peak,
-    }
-}
-
-/// Measure the per-shard memory half of the scale story: the 10k-rank
-/// replay decomposed 16 ways vs 4 ways.
-pub fn run_replay_mem_scaling(smoke: bool) -> ReplayMemScaling {
-    use iosim_workload::replay_threaded;
-    let ranks = replay_scale_ranks(smoke);
-    let threads = default_threads();
-    let (wide_stream, wide_spec) = replay_scale_inputs(ranks, REPLAY_WIDE_SHARDS);
-    let wide = replay_threaded(&wide_stream, &wide_spec, threads);
-    let (narrow_stream, narrow_spec) = replay_scale_inputs(ranks, REPLAY_NARROW_SHARDS);
-    let narrow = replay_threaded(&narrow_stream, &narrow_spec, threads);
-    ReplayMemScaling {
-        ranks,
-        wide_shards: REPLAY_WIDE_SHARDS,
-        wide_peak: wide.stats.shard_mem.peak,
-        narrow_shards: REPLAY_NARROW_SHARDS,
-        narrow_peak: narrow.stats.shard_mem.peak,
     }
 }
 

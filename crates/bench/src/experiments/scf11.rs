@@ -416,6 +416,16 @@ mod tests {
     }
 
     #[test]
+    fn fig2_shape_holds_at_small_scale() {
+        assert_shape(&fig2(S));
+    }
+
+    #[test]
+    fn fig3_shape_holds_at_small_scale() {
+        assert_shape(&fig3(S));
+    }
+
+    #[test]
     fn fig1_has_21_series_points() {
         let r = fig1(S);
         assert!(r.body.contains("SMALL"));

@@ -4,9 +4,8 @@
 //! twin it replaced, or something even simpler (a plain byte array for the
 //! extent tree) — by an in-tree [`SimRng`] generator: no external
 //! property-testing dependency, every failure reproducible from the seed
-//! in the assertion message. Unlike `bench structs`, which replays one
-//! fixed sequence per structure and times it, these tests randomize the op
-//! mix across many seeds and compare *states and outputs*, never timings:
+//! in the assertion message. The tests randomize the op mix across many
+//! seeds and compare *states and outputs*, never timings:
 //!
 //! * extent store — every read byte-identical to a flat byte mirror under
 //!   arbitrary overlapping writes;

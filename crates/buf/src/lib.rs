@@ -10,9 +10,9 @@
 //! merging, vectored writes) is O(segments) instead of O(bytes).
 //!
 //! Every operation that really allocates or memcpys data-plane bytes
-//! ticks a thread-local [`tally`], which `bench wallclock` snapshots per
-//! application into the `data_plane` section of `BENCH_wallclock.json`
-//! (schema v2). The simulation is single-threaded per `Sim`, so a
+//! ticks a thread-local [`tally`]: the benchmark reports it per job as
+//! `buf.*`, and `tests/dataplane_equivalence.rs` bounds it per
+//! application. The simulation is single-threaded per `Sim`, so a
 //! thread-local is exact, not approximate.
 //!
 //! No external dependencies; the workspace builds offline.

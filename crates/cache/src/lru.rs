@@ -36,7 +36,6 @@
 use std::hash::Hash;
 
 use iosim_simkit::hash::FxHashMap;
-use iosim_trace::structs as stally;
 
 /// Null link.
 const NIL: u32 = u32::MAX;
@@ -130,7 +129,6 @@ impl<K: Copy + Eq + Hash, V> LruSlab<K, V> {
         let Some(&slot) = self.index.get(key) else {
             return false;
         };
-        stally::add_lru_touch();
         self.unlink_main(slot);
         self.push_back_main(slot);
         if self.node(slot).dirty {
@@ -213,7 +211,6 @@ impl<K: Copy + Eq + Hash, V> LruSlab<K, V> {
         if slot == NIL {
             return None;
         }
-        stally::add_lru_eviction();
         self.unlink_main(slot);
         if self.node(slot).dirty {
             self.unlink_dirty(slot);

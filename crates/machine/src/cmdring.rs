@@ -48,8 +48,6 @@ pub struct Pick<T> {
     pub seq: u64,
     /// How many commands had arrived (were eligible by time) at dispatch.
     pub arrived: usize,
-    /// Live commands examined by the dispatch scan (ring occupancy).
-    pub scanned: usize,
     /// The pick is not the oldest arrived command.
     pub reordered: bool,
     /// The starvation bound overrode the elevator pick.
@@ -161,7 +159,6 @@ impl<T> CmdRing<T> {
         // the best elevator rank in the window, and the first starved
         // command in the window.
         let mut arrived = 0usize;
-        let mut scanned = 0usize;
         type Ranked = ((u8, u64, u64), u64, u64, u64); // rank, seq, uid, offset
         let mut fifo: Option<(u64, u64, u64)> = None; // (seq, uid, offset)
         let mut best: Option<Ranked> = None;
@@ -170,7 +167,6 @@ impl<T> CmdRing<T> {
             let Some(s) = &self.slots[(seq & self.mask) as usize] else {
                 continue;
             };
-            scanned += 1;
             if s.arrival > now {
                 continue;
             }
@@ -232,7 +228,6 @@ impl<T> CmdRing<T> {
             offset: slot.offset,
             seq,
             arrived,
-            scanned,
             reordered,
             starvation_forced,
             seek_avoided: reordered && d_pick == Some(0) && d_fifo != Some(0),

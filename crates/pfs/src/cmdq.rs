@@ -35,7 +35,7 @@ use iosim_machine::{CmdRing, Machine};
 use iosim_simkit::executor::Sleep;
 use iosim_simkit::sync::{channel, Event, Receiver, Recv, Sender};
 use iosim_simkit::time::SimTime;
-use iosim_trace::{structs as stally, QueueCounters};
+use iosim_trace::QueueCounters;
 
 /// One disk command submitted to an I/O node's queue.
 pub(crate) struct DiskCommand {
@@ -163,7 +163,6 @@ async fn node_daemon(
         let picked = ring
             .pick(head, now, depth)
             .expect("min-arrival command has arrived");
-        stally::add_ring_pick(picked.scanned as u64);
         let (runs, done) = picked.payload;
         let runs = runs.as_slice();
         let prev_end = match head {

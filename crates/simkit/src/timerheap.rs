@@ -6,8 +6,8 @@
 //! over a `Vec`, which is already flat, so unlike the other flat-arena
 //! rewrites this one starts from a strong baseline: with hole-based sifts
 //! the 4-ary layout's halved depth trades evenly against its three child
-//! compares per level, and `bench structs` measures parity on in-cache
-//! push/pop storms. What the rewrite buys instead is layout and contract:
+//! compares per level, so on in-cache push/pop storms it only matches
+//! `BinaryHeap`. What the rewrite buys instead is layout and contract:
 //! keys live apart from payloads, so the run loop's peek-heavy batched
 //! pops scan a dense key array without dragging waker payload lines
 //! through the cache, and the key type `(SimTime, u64 seq)` is a *total*

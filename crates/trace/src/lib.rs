@@ -5,7 +5,7 @@
 //! volume, and shares of I/O and execution time (Tables 2–3). This crate
 //! provides the equivalent: a cheap aggregating [`TraceCollector`] that the
 //! file-system layer feeds on every operation, plus rendering helpers for
-//! the tables and text "figures" the `repro` binary and benches print.
+//! the tables and text "figures" the `repro` binary prints.
 //!
 //! Times here follow the paper's convention: per-operation durations are
 //! **summed across processors** (cumulative time), while wall-clock I/O
@@ -21,7 +21,6 @@ pub mod listio;
 pub mod mem;
 pub mod queue;
 pub mod report;
-pub mod structs;
 
 pub use cache::{CacheCounters, CacheSnapshot};
 pub use hist::{LatencyHistogram, SizeHistogram};

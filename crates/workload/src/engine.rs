@@ -1611,18 +1611,11 @@ async fn flush_window(
 mod tests {
     use super::*;
     use crate::arrival::ArrivalModel;
-    use crate::opstream::{parse_legacy, parse_opstream, OpStream};
+    use crate::opstream::{parse_legacy, parse_opstream, synthesize_strided, OpStream};
     use iosim_machine::presets;
 
     fn strided(ranks: usize, ops_per_rank: u64, record: u64) -> OpStream {
-        let mut text = String::new();
-        for k in 0..ops_per_rank {
-            for r in 0..ranks {
-                let off = (k * ranks as u64 + r as u64) * record;
-                text.push_str(&format!("{r} w {off} {record}\n"));
-            }
-        }
-        OpStream::from_legacy(&parse_legacy(&text).unwrap())
+        OpStream::from_legacy(&synthesize_strided(ranks, ops_per_rank, record))
     }
 
     #[test]
@@ -1652,6 +1645,38 @@ mod tests {
         assert_eq!(direct.latency.count(), 160);
         assert_eq!(list.latency.count(), 160);
         assert_eq!(two.latency.count(), 160);
+    }
+
+    #[test]
+    fn two_phase_windows_stay_aligned_on_uneven_ranks() {
+        // Rank 0 has 7 ops, rank 1 has 2: windows must still align.
+        let text = "0 w 0 100\n0 w 100 100\n0 w 200 100\n0 w 300 100\n\
+                    0 w 400 100\n0 w 500 100\n0 w 600 100\n\
+                    1 w 1000 100\n1 w 1100 100\n";
+        let s = OpStream::from_legacy(&parse_legacy(text).unwrap());
+        let rep = replay(&s, &ReplaySpec::two_phase(presets::sp2(), 3));
+        assert_eq!(rep.stats.io_bytes, 900);
+        assert_eq!(rep.latency.count(), 9);
+    }
+
+    #[test]
+    fn mixed_reads_and_writes_replay() {
+        let text = "0 w 0 1000\n1 w 1000 1000\n0 r 1000 500\n1 r 0 500\n";
+        let s = OpStream::from_legacy(&parse_legacy(text).unwrap());
+        let direct = replay(&s, &ReplaySpec::direct(presets::paragon_small()));
+        assert_eq!(direct.stats.summary.rows[1].bytes, 1000); // reads
+        assert_eq!(direct.stats.summary.rows[3].bytes, 2000); // writes
+        let two = replay(&s, &ReplaySpec::two_phase(presets::paragon_small(), 4));
+        assert_eq!(
+            two.stats.summary.rows[1].bytes + two.stats.summary.rows[3].bytes,
+            3000
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace needs")]
+    fn too_many_ranks_rejected() {
+        let _ = replay(&strided(100, 1, 10), &ReplaySpec::direct(presets::sp2()));
     }
 
     #[test]

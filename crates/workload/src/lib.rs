@@ -47,6 +47,6 @@ pub use engine::{
 };
 pub use opstream::{
     detect_format, parse_any, parse_legacy, parse_opstream, render_legacy, render_opstream,
-    OpStream, ParseError, TraceFormat, TraceKind, TraceOp, WorkKind, WorkOp,
+    synthesize_strided, OpStream, ParseError, TraceFormat, TraceKind, TraceOp, WorkKind, WorkOp,
 };
 pub use synth::{SynthSpec, TimedOp};

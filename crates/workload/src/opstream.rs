@@ -274,6 +274,23 @@ pub fn extent_of(ops: &[TraceOp]) -> u64 {
     ops.iter().map(|o| o.offset + o.len).max().unwrap_or(0)
 }
 
+/// Synthesize a strided checkpoint-style legacy trace: `ranks` ranks
+/// each writing `ops_per_rank` interleaved records of `record` bytes.
+pub fn synthesize_strided(ranks: usize, ops_per_rank: u64, record: u64) -> Vec<TraceOp> {
+    let mut ops = Vec::with_capacity(ranks * ops_per_rank as usize);
+    for k in 0..ops_per_rank {
+        for r in 0..ranks {
+            ops.push(TraceOp {
+                rank: r,
+                kind: TraceKind::Write,
+                offset: (k * ranks as u64 + r as u64) * record,
+                len: record,
+            });
+        }
+    }
+    ops
+}
+
 // ---------------------------------------------------------------------
 // Legacy 4-column format
 
@@ -598,6 +615,23 @@ mod tests {
             .unwrap_err()
             .message
             .contains("zero-length"));
+    }
+
+    #[test]
+    fn parse_error_displays_its_line_as_a_std_error() {
+        let err = parse_legacy("0 w 0 10\n0 q 0 1\n").unwrap_err();
+        let e: &dyn std::error::Error = &err;
+        assert!(e.to_string().starts_with("trace line 2: "), "{e}");
+    }
+
+    #[test]
+    fn extent_and_ranks_derive_from_ops() {
+        let ops = synthesize_strided(4, 10, 256);
+        assert_eq!(ops.len(), 40);
+        assert_eq!(ranks_of(&ops), 4);
+        assert_eq!(extent_of(&ops), 4 * 10 * 256);
+        assert_eq!(ranks_of(&[]), 1);
+        assert_eq!(extent_of(&[]), 0);
     }
 
     #[test]

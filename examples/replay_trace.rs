@@ -12,7 +12,7 @@
 //! ```
 
 use iosim::machine::presets;
-use iosim::workload::{parse_any, replay, OpStream, ReplayReport, ReplaySpec};
+use iosim::workload::{parse_any, replay, synthesize_strided, OpStream, ReplayReport, ReplaySpec};
 
 fn show(name: &str, r: &ReplayReport) {
     println!(
@@ -50,7 +50,7 @@ fn main() {
 
     // A synthesized 16-rank checkpoint in the legacy 4-column format:
     // both formats land in the same OpStream and replay engine.
-    let legacy = iosim::apps::replay::synthesize_strided(16, 256, 1024);
+    let legacy = synthesize_strided(16, 256, 1024);
     let stream = OpStream::from_legacy(&legacy);
     let machine = || presets::sp2().with_compute_nodes(16);
     println!(

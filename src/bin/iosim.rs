@@ -783,7 +783,10 @@ fn usage() {
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
          \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\
          \x20      [--sample N --seed S] [--scale F] [--memo N] [--memo-file PATH] [--threads T]\n\
-         advise: same grid flags as sweep, plus [--coarse F] [--keep N]\n\
+         advise: --workload scf11|scf30|fft|btio|ast|synth + comma-list knobs\n\
+         \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
+         \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\
+         \x20      [--coarse F] [--keep N] [--memo N] [--threads T]\n\
          \x20      (successive halving: coarse rounds prune, survivors run full fidelity)"
     );
 }

@@ -72,3 +72,38 @@ fn valid_input_still_runs() {
     let (code, stderr) = iosim(&["btio", "--class", "8", "--procs", "4", "--dumps", "1"]);
     assert_eq!(code, 0, "{stderr}");
 }
+
+/// The `--flag` names on the `advise:` entry of `iosim --help` (its
+/// first line plus the indented continuation lines).
+fn advise_help_flags() -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_iosim"))
+        .arg("--help")
+        .output()
+        .expect("run iosim --help");
+    let help = String::from_utf8_lossy(&out.stdout).into_owned();
+    let mut lines = help.lines().skip_while(|l| !l.starts_with("advise:"));
+    let first = lines.next().expect("--help has an advise: entry");
+    let entry = std::iter::once(first).chain(lines.take_while(|l| l.starts_with(' ')));
+    entry
+        .flat_map(str::split_whitespace)
+        .filter_map(|w| w.trim_start_matches('[').strip_prefix("--"))
+        .map(|f| f.trim_end_matches(']').to_string())
+        .collect()
+}
+
+#[test]
+fn advise_accepts_every_flag_its_help_names() {
+    let flags = advise_help_flags();
+    assert_eq!(flags.len(), 12, "advise help flags: {flags:?}");
+    for flag in &flags {
+        // A value no flag takes: the run must stop on the value (exit 2,
+        // before any simulation), never on the flag name.
+        let arg = format!("--{flag}");
+        let (code, stderr) = iosim(&["advise", &arg, "x"]);
+        assert_eq!(code, 2, "advise {arg} x exited {code}: {stderr}");
+        assert!(
+            !stderr.contains("unknown flag"),
+            "advise rejects {arg}, which its help names: {stderr}"
+        );
+    }
+}

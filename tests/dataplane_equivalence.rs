@@ -17,7 +17,9 @@
 //!   are dominated by payload shuffling the rewrite eliminates.
 //!
 //! Bytes-allocated is not pinned exactly (it is an implementation
-//! detail of scratch-buffer strategy) but may not grow above baseline.
+//! detail of scratch-buffer strategy) but may not grow above baseline,
+//! and must stay non-zero (bytes and buffers) for every app that
+//! allocated before the rewrite, so an unwired tally fails here.
 
 use iosim::apps::{ast, btio, fft, scf11, scf30, RunResult};
 use iosim::buf::{fnv1a, tally};
@@ -188,6 +190,17 @@ fn data_plane_rewrite_is_invisible_to_the_simulation() {
             "{app}: bytes allocated grew ({} > {base_alloc})",
             t.bytes_allocated
         );
+        if base_alloc > 0 {
+            // An app that allocated data buffers before the rewrite still
+            // does; all-zero counters mean the tally came unwired, which
+            // the upper bounds above would wave through.
+            assert!(
+                t.bytes_allocated > 0 && t.buffers_allocated > 0,
+                "{app}: data-plane tally reads zero (alloc={} buffers={})",
+                t.bytes_allocated,
+                t.buffers_allocated
+            );
+        }
         if base_copied > 0 {
             assert!(
                 t.bytes_copied < base_copied,

@@ -15,12 +15,18 @@
 //! Three repetitions per (trace, mode, workers) point matter: a racy
 //! mailbox or a lookahead undercut would pass a single comparison with
 //! high probability and still trip here.
+//!
+//! A 1,000-rank strided replay and a 1,000-client open-loop run on 16
+//! shards check the same invariance at scale, plus the adaptive
+//! lookahead's contract: never more rounds than the static floor.
 
 use iosim::machine::presets;
-use iosim::machine::MachineConfig;
+use iosim::machine::{MachineConfig, MeshDims};
+use iosim::simkit::time::SimDuration;
 use iosim::workload::{
-    parse_any, replay, replay_threaded, replay_threaded_static, OpStream, ReplayMode, ReplayReport,
-    ReplaySpec,
+    parse_any, replay, replay_threaded, replay_threaded_static, run_open_loop_threaded,
+    run_open_loop_threaded_static, OpStream, ReplayMode, ReplayReport, ReplaySpec, RunStats,
+    SynthSpec, TraceKind, TraceOp,
 };
 
 const REPS: usize = 3;
@@ -197,4 +203,107 @@ fn sharded_replay_accounts_per_shard_memory() {
         wide.stats.shard_mem.peak,
         narrow.stats.shard_mem.peak
     );
+}
+
+/// Ranks (and clients) of the large-population cases below.
+const LARGE_RANKS: usize = 1_000;
+/// I/O nodes, hence shards, of the large-population machine.
+const LARGE_IO_NODES: usize = 16;
+
+/// The SP-2 preset scaled out to `ranks` compute nodes and 16 I/O
+/// nodes. The preset's mesh is sized for its stock partition, so a
+/// near-square mesh seats the extra ranks while keeping hop distances
+/// (and thus the derived lookahead) representative.
+fn large_machine(ranks: usize) -> MachineConfig {
+    let cols = ((ranks as f64).sqrt().ceil() as usize).max(1);
+    let mut m = presets::sp2()
+        .with_compute_nodes(ranks)
+        .with_io_nodes(LARGE_IO_NODES);
+    m.mesh = MeshDims {
+        rows: ranks.div_ceil(cols),
+        cols,
+    };
+    m
+}
+
+/// Every rank writes one private 4 KB record into a shared strided
+/// extent, then reads its right neighbour's record back. Dep-free.
+fn large_strided_replay() -> OpStream {
+    let record = 4096u64;
+    let write = (0..LARGE_RANKS).map(|r| TraceOp {
+        rank: r,
+        kind: TraceKind::Write,
+        offset: r as u64 * record,
+        len: record,
+    });
+    let read = (0..LARGE_RANKS).map(|r| TraceOp {
+        rank: r,
+        kind: TraceKind::Read,
+        offset: ((r + 1) % LARGE_RANKS) as u64 * record,
+        len: record,
+    });
+    OpStream::from_legacy(&write.chain(read).collect::<Vec<_>>())
+}
+
+/// A short Poisson window at about one op per client.
+fn large_synth() -> SynthSpec {
+    let mut synth = SynthSpec::small(2.0, 4242);
+    synth.clients = LARGE_RANKS;
+    synth.duration = SimDuration::from_secs_f64(0.5);
+    synth.op_bytes = 16 << 10;
+    synth.fragments = 1;
+    synth.files = 4;
+    synth.file_bytes = 16 << 20;
+    synth
+}
+
+#[test]
+fn thousand_rank_runs_are_worker_invariant_and_save_rounds() {
+    let spec = ReplaySpec::direct(large_machine(LARGE_RANKS));
+    let stream = large_strided_replay();
+    let synth = large_synth();
+    for name in ["replay", "synth"] {
+        let mut first: Option<RunStats> = None;
+        for workers in [1, 4] {
+            let (adaptive, fixed) = match name {
+                "replay" => (
+                    replay_threaded(&stream, &spec, workers).stats,
+                    replay_threaded_static(&stream, &spec, workers).stats,
+                ),
+                _ => (
+                    run_open_loop_threaded(&synth, &spec, workers).stats,
+                    run_open_loop_threaded_static(&synth, &spec, workers).stats,
+                ),
+            };
+            let tag = format!("{name} at {workers} workers");
+            // The lookahead window paces synchronization, never the
+            // schedule, and may only save rounds.
+            assert_eq!(
+                adaptive.sched_fingerprint, fixed.sched_fingerprint,
+                "{tag}: lookahead policy moved the schedule"
+            );
+            assert_eq!(adaptive.exec_time, fixed.exec_time, "{tag}: exec_time");
+            assert!(adaptive.sync_rounds > 0, "{tag}: did not shard");
+            assert!(
+                adaptive.sync_rounds <= fixed.sync_rounds,
+                "{tag}: adaptive lookahead cost more rounds ({}) than static ({})",
+                adaptive.sync_rounds,
+                fixed.sync_rounds
+            );
+            assert!(adaptive.shard_mem.peak > 0, "{tag}: zero per-shard peak");
+            match &first {
+                None => first = Some(adaptive),
+                Some(f) => {
+                    assert_eq!(
+                        adaptive.sched_fingerprint, f.sched_fingerprint,
+                        "{tag}: fingerprint diverges across worker counts"
+                    );
+                    assert_eq!(
+                        adaptive.exec_time, f.exec_time,
+                        "{tag}: exec_time diverges across worker counts"
+                    );
+                }
+            }
+        }
+    }
 }

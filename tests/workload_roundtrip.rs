@@ -2,13 +2,11 @@
 //! traces: format round-trips, deterministic expansion, bit-identical
 //! generator runs, and the three replay modes all moving the same
 //! bytes. These pin the "bring your own workload" contract end to end —
-//! the files under `tests/data/` are the ones `verify.sh` and the
-//! wall-clock suite replay.
+//! the files under `tests/data/` are the ones `verify.sh` replays.
 
 use iosim::machine::presets;
 use iosim::workload::{
-    parse_any, parse_opstream, render_opstream, replay, run_open_loop, OpStream, ReplaySpec,
-    SynthSpec,
+    parse_any, parse_opstream, render_opstream, replay, run_open_loop, ReplaySpec, SynthSpec,
 };
 
 fn sample(name: &str) -> String {
@@ -51,20 +49,6 @@ fn three_modes_replay_the_committed_sample() {
         assert_eq!(r.data_bytes, stream.data_bytes());
         assert_eq!(r.latency.count(), 14, "every data op records a latency");
     }
-}
-
-#[test]
-fn legacy_wrapper_and_engine_agree() {
-    use iosim::apps::replay::{replay as legacy_replay, synthesize_strided, ReplayConfig};
-    let ops = synthesize_strided(4, 50, 2048);
-    let via_wrapper = legacy_replay(&ops, &ReplayConfig::direct(presets::sp2()));
-    let via_engine = replay(
-        &OpStream::from_legacy(&ops),
-        &ReplaySpec::direct(presets::sp2()),
-    );
-    assert_eq!(via_wrapper.exec_time, via_engine.stats.exec_time);
-    assert_eq!(via_wrapper.io_bytes, via_engine.stats.io_bytes);
-    assert_eq!(via_wrapper.io_ops, via_engine.stats.io_ops);
 }
 
 #[test]

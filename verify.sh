@@ -89,36 +89,6 @@ for mode in direct list twophase; do
   }
 done
 
-echo "== bench wallclock smoke =="
-# Gate is "runs without panicking and emits a well-formed v7 document"
-# — wall-clock timings are machine-dependent and never fail the build,
-# but `bench check` does fail on NaN/negative wall times, non-integer
-# counters, a missing data_plane/workload/struct_ops/advisor section,
-# a replay_shard_scaling ladder whose fingerprints diverge across
-# thread counts, an adaptive round count above the static one, a zero
-# per-shard memory peak, a mem_10k story where the wide decomposition
-# does not shrink the worst shard,
-# an advisor hit rate outside [0,1], a halving winner that disagrees
-# with exhaustive search, all-zero
-# data-plane byte tallies (which would mean the zero-copy accounting
-# came unwired), or an empty workload latency histogram.
-# The smoke run writes under target/ so the committed trajectory file
-# (BENCH_wallclock.json) is left untouched; both are validated.
-cargo run --release --offline -p iosim-bench --bin bench -- \
-  wallclock --smoke --out target/BENCH_wallclock.smoke.json
-cargo run --release --offline -p iosim-bench --bin bench -- \
-  check target/BENCH_wallclock.smoke.json
-cargo run --release --offline -p iosim-bench --bin bench -- \
-  check BENCH_wallclock.json
-
-echo "== bench structs smoke =="
-# The per-structure microbenchmarks (flat arenas vs their transplanted
-# std-collection twins) must run to completion with nonzero throughput
-# on every structure; the speedup ratios themselves are host-relative
-# and never gate.
-cargo run --release --offline -p iosim-bench --bin bench -- \
-  structs --smoke
-
 echo "== flat-structure hygiene: no raw std hash maps on sim paths =="
 # Engine-side crates take hash maps from iosim_simkit::hash (fixed
 # keys, documented point-lookup-only discipline), never directly from
