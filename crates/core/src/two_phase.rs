@@ -262,6 +262,31 @@ fn decode_pieces(payload: Payload, out: &mut Vec<Piece>) -> bool {
     true
 }
 
+/// A read request: the span count, then each span's offset and length,
+/// all little-endian `u64`s. An empty list is its zero count alone:
+/// eight bytes of the shared zero page, no buffer.
+fn encode_spans(spans: &[Span]) -> Payload {
+    if spans.is_empty() {
+        return Payload::bytes(zeros(8));
+    }
+    let mut b = Vec::with_capacity(8 + spans.len() * 16);
+    b.extend_from_slice(&(spans.len() as u64).to_le_bytes());
+    for s in spans {
+        b.extend_from_slice(&s.offset.to_le_bytes());
+        b.extend_from_slice(&s.len.to_le_bytes());
+    }
+    Payload::bytes(b)
+}
+
+/// Inverse of [`encode_spans`], reading the request in place.
+fn decode_spans(payload: Payload) -> Vec<Span> {
+    let b = payload.data.expect("read requests carry real bytes");
+    let count = b.read_u64_le(0);
+    (0..count)
+        .map(|i| Span::new(b.read_u64_le(8 + 16 * i), b.read_u64_le(16 + 16 * i)))
+        .collect()
+}
+
 /// Merge sorted pieces into maximal contiguous runs (offset, len, data?).
 /// Real payloads concatenate as ropes — O(segments), no byte movement.
 fn merge_runs(mut pieces: Vec<Piece>) -> Vec<Piece> {
@@ -564,36 +589,12 @@ pub async fn read_collective(
             off += take;
         }
     }
-    let encoded: Vec<Payload> = requests
-        .iter()
-        .map(|spans| {
-            let mut b = Vec::with_capacity(8 + spans.len() * 16);
-            b.extend_from_slice(&(spans.len() as u64).to_le_bytes());
-            for s in spans {
-                b.extend_from_slice(&s.offset.to_le_bytes());
-                b.extend_from_slice(&s.len.to_le_bytes());
-            }
-            Payload::bytes(b)
-        })
-        .collect();
+    let encoded: Vec<Payload> = requests.iter().map(|spans| encode_spans(spans)).collect();
     let incoming = comm.alltoallv(encoded).await;
 
     // Phase 2 (owner side): read the merged extent of requested sub-spans
     // within my region — one sequential call — then ship fragments back.
-    let mut asked: Vec<Vec<Span>> = Vec::with_capacity(comm.size());
-    for p in incoming {
-        let b = p.into_bytes();
-        let count = u64::from_le_bytes(b[..8].try_into().expect("8")) as usize;
-        let mut spans = Vec::with_capacity(count);
-        for i in 0..count {
-            let pos = 8 + i * 16;
-            spans.push(Span::new(
-                u64::from_le_bytes(b[pos..pos + 8].try_into().expect("8")),
-                u64::from_le_bytes(b[pos + 8..pos + 16].try_into().expect("8")),
-            ));
-        }
-        asked.push(spans);
-    }
+    let asked: Vec<Vec<Span>> = incoming.into_iter().map(decode_spans).collect();
     let ext_lo = asked
         .iter()
         .flatten()
@@ -733,6 +734,14 @@ mod tests {
         assert_eq!(iosim_buf::tally::snapshot().buffers_allocated, 0);
         assert!(decode_pieces(empty, &mut back));
         assert_eq!(back, pieces);
+        // Read requests follow the same rules.
+        let spans = [Span::new(0, 4096), Span::new(1 << 40, 7)];
+        assert_eq!(decode_spans(encode_spans(&spans)), spans);
+        iosim_buf::tally::reset();
+        let empty = encode_spans(&[]);
+        assert_eq!(empty.len, 8);
+        assert_eq!(iosim_buf::tally::snapshot().buffers_allocated, 0);
+        assert!(decode_spans(empty).is_empty());
     }
 
     #[test]

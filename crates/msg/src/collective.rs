@@ -6,10 +6,55 @@
 //! here the collectives' cost is dominated by payload bytes through NICs,
 //! which linear algorithms capture, and the paper's optimizations do not
 //! depend on clever collective trees.
+//!
+//! A rank's sends within one collective are posted together and its
+//! receives taken together (see `Comm::post` and `Comm::recv_all`),
+//! so a collective costs a rank one injection wait and one delivery wait
+//! rather than a wake-up per message, with every virtual time unchanged.
+//! Under mesh-link contention the order in which ranks book route links
+//! is part of the model, so there the collectives keep the
+//! message-at-a-time schedule.
 
 use crate::comm::{Comm, MatchSrc, Payload};
 
 impl Comm {
+    /// Whether this machine's collectives may post and receive in batches:
+    /// everywhere except under mesh-link contention, where route bookings
+    /// must happen in the order sequential sends would make them.
+    fn batches_messages(&self) -> bool {
+        !self.machine().models_link_contention()
+    }
+
+    /// Send each `(dst, payload)` with `tag`, in order, and return once the
+    /// last one is injected: the same NIC bookings and delivery instants
+    /// as one [`Comm::send`] after another.
+    async fn send_each(&self, tag: u64, sends: impl IntoIterator<Item = (usize, Payload)>) {
+        if !self.batches_messages() {
+            for (dst, p) in sends {
+                self.send(dst, tag, p).await;
+            }
+            return;
+        }
+        let h = self.machine().handle();
+        let mut at = h.now();
+        for (dst, p) in sends {
+            at = self.post(dst, tag, p, at);
+        }
+        h.sleep_until(at).await;
+    }
+
+    /// Receive `count` messages with `tag` from any sources, handing each
+    /// to `each(source, payload)`.
+    async fn recv_each(&self, tag: u64, count: usize, mut each: impl FnMut(usize, Payload)) {
+        if self.batches_messages() {
+            return self.recv_all(tag, count, each).await;
+        }
+        for _ in 0..count {
+            let (src, p) = self.recv(MatchSrc::Any, tag).await;
+            each(src, p);
+        }
+    }
+
     /// Synchronize all ranks. Completes everywhere once every rank has
     /// arrived (gather-to-0 then broadcast of an empty token).
     ///
@@ -22,15 +67,12 @@ impl Comm {
         let t2 = self.next_coll_tag();
         let n = self.size();
         if self.rank() == 0 {
-            for _ in 1..n {
-                self.recv(MatchSrc::Any, t1).await;
-            }
+            self.recv_each(t1, n - 1, |_, _| {}).await;
             if let Some(link) = self.world().shard_link() {
                 link.barrier().await;
             }
-            for dst in 1..n {
-                self.send(dst, t2, Payload::empty()).await;
-            }
+            self.send_each(t2, (1..n).map(|dst| (dst, Payload::empty())))
+                .await;
         } else {
             self.send(0, t1, Payload::empty()).await;
             self.recv(MatchSrc::Rank(0), t2).await;
@@ -42,11 +84,8 @@ impl Comm {
         let t = self.next_coll_tag();
         if self.rank() == root {
             let p = payload.expect("root must supply the broadcast payload");
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.send(dst, t, p.clone()).await;
-                }
-            }
+            let others = (0..self.size()).filter(|&dst| dst != root);
+            self.send_each(t, others.map(|dst| (dst, p.clone()))).await;
             p
         } else {
             let (_, p) = self.recv(MatchSrc::Rank(root), t).await;
@@ -61,10 +100,8 @@ impl Comm {
         if self.rank() == root {
             let mut out: Vec<Option<Payload>> = (0..self.size()).map(|_| None).collect();
             out[root] = Some(payload);
-            for _ in 0..self.size() - 1 {
-                let (src, p) = self.recv(MatchSrc::Any, t).await;
-                out[src] = Some(p);
-            }
+            self.recv_each(t, self.size() - 1, |src, p| out[src] = Some(p))
+                .await;
             Some(
                 out.into_iter()
                     .map(|p| p.expect("all ranks sent"))
@@ -82,19 +119,14 @@ impl Comm {
         // Linear all-gather: every rank sends its payload to every other.
         let t = self.next_coll_tag();
         let n = self.size();
-        for dst in 0..n {
-            if dst != self.rank() {
-                self.send(dst, t, payload.clone()).await;
-            }
-        }
+        let others = (0..n).filter(|&dst| dst != self.rank());
+        self.send_each(t, others.map(|dst| (dst, payload.clone())))
+            .await;
         // Every slot is overwritten: ours here, each other rank's by its
         // one message.
         let mut out = vec![Payload::synthetic(0); n];
         out[self.rank()] = payload;
-        for _ in 0..n - 1 {
-            let (src, p) = self.recv(MatchSrc::Any, t).await;
-            out[src] = p;
-        }
+        self.recv_each(t, n - 1, |src, p| out[src] = p).await;
         out
     }
 
@@ -116,49 +148,16 @@ impl Comm {
         let mut slots = to_each;
         // Stagger send order by rank to avoid everyone hammering rank 0
         // first (as real implementations do).
-        for k in 1..n {
+        let sends = (1..n).map(|k| {
             let dst = (me + k) % n;
-            let p = std::mem::replace(&mut slots[dst], Payload::synthetic(0));
-            self.send(dst, t, p).await;
-        }
-        for _ in 0..n - 1 {
-            let (src, p) = self.recv(MatchSrc::Any, t).await;
-            slots[src] = p;
-        }
+            (
+                dst,
+                std::mem::replace(&mut slots[dst], Payload::synthetic(0)),
+            )
+        });
+        self.send_each(t, sends).await;
+        self.recv_each(t, n - 1, |src, p| slots[src] = p).await;
         slots
-    }
-
-    /// Personalized all-to-all with the pairwise-exchange schedule: in
-    /// round `k`, rank `r` exchanges with partner `(r + k) mod P` — every
-    /// rank sends and receives exactly once per round, avoiding the
-    /// receiver hot-spotting the naive schedule can produce. Semantically
-    /// identical to [`Comm::alltoallv`].
-    pub async fn alltoallv_pairwise(&self, to_each: Vec<Payload>) -> Vec<Payload> {
-        assert_eq!(
-            to_each.len(),
-            self.size(),
-            "alltoallv needs one payload per rank"
-        );
-        let t = self.next_coll_tag();
-        let n = self.size();
-        let me = self.rank();
-        let mut to_each = to_each;
-        let mut out: Vec<Option<Payload>> = (0..n).map(|_| None).collect();
-        out[me] = Some(std::mem::replace(&mut to_each[me], Payload::synthetic(0)));
-        for k in 1..n {
-            let send_to = (me + k) % n;
-            let recv_from = (me + n - k) % n;
-            // Post the send non-blockingly so reciprocal rounds overlap.
-            let round_tag = t + ((k as u64) << 32);
-            let p = std::mem::replace(&mut to_each[send_to], Payload::synthetic(0));
-            let s = self.isend(send_to, round_tag, p);
-            let (_, p) = self.recv(MatchSrc::Rank(recv_from), round_tag).await;
-            s.await;
-            out[recv_from] = Some(p);
-        }
-        out.into_iter()
-            .map(|p| p.expect("all rounds ran"))
-            .collect()
     }
 
     /// Sum-reduce an `f64` across ranks; every rank returns the total.
@@ -303,47 +302,6 @@ mod tests {
                 assert_eq!(v, &vec![src as u8, me as u8]);
             }
         }
-    }
-
-    #[test]
-    fn pairwise_alltoall_matches_linear() {
-        let outs = run_ranks(5, |c| async move {
-            let me = c.rank() as u8;
-            let to_each: Vec<Payload> = (0..5)
-                .map(|d| Payload::bytes(vec![me, d as u8, me ^ d as u8]))
-                .collect();
-            let a = c.alltoallv(to_each.clone()).await;
-            let b = c.alltoallv_pairwise(to_each).await;
-            (a, b)
-        });
-        for (a, b) in outs {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn pairwise_alltoall_avoids_receiver_hotspots() {
-        // With large payloads and many ranks the pairwise schedule should
-        // be at least as fast as the naive one.
-        let time_of = |pairwise: bool| -> f64 {
-            let outs = run_ranks(16, move |c| async move {
-                let h = c.machine().handle().clone();
-                let to_each: Vec<Payload> = (0..16).map(|_| Payload::synthetic(1 << 20)).collect();
-                if pairwise {
-                    c.alltoallv_pairwise(to_each).await;
-                } else {
-                    c.alltoallv(to_each).await;
-                }
-                h.now().as_secs_f64()
-            });
-            outs.into_iter().fold(0.0, f64::max)
-        };
-        let naive = time_of(false);
-        let pairwise = time_of(true);
-        assert!(
-            pairwise <= naive * 1.05,
-            "pairwise {pairwise} should not lose to naive {naive}"
-        );
     }
 
     #[test]

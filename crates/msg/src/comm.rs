@@ -199,12 +199,29 @@ impl Comm {
     /// injected through this rank's NIC — like a buffered MPI send. The
     /// message is delivered `base + per_hop × hops` after injection.
     pub async fn send(&self, dst: usize, tag: u64, payload: Payload) {
+        let h = self.world.machine().handle();
+        let inject_end = self.post(dst, tag, payload, h.now());
+        h.sleep_until(inject_end).await;
+    }
+
+    /// Post `payload` to `dst` with `tag` as if the send were issued at
+    /// `arrival` (not before now), without waiting: book the NIC from
+    /// `arrival`, enqueue the envelope at `dst` with its delivery instant,
+    /// and return the instant the injection ends. A sequence of sends is
+    /// a chain of posts, each arriving at the previous one's injection
+    /// end, followed by one sleep until the last; that books the NIC and
+    /// delivers every message exactly as the sequential sends would, with
+    /// one wake-up instead of one per message.
+    pub(crate) fn post(&self, dst: usize, tag: u64, payload: Payload, arrival: SimTime) -> SimTime {
         assert!(dst < self.size(), "send to rank {dst} outside world");
         let m = self.world.machine();
-        let h = m.handle().clone();
+        debug_assert!(
+            arrival >= m.handle().now(),
+            "a send cannot arrive in the past"
+        );
         let cfg = m.cfg();
         let inject = SimDuration::from_secs_f64(payload.len as f64 / cfg.net.bandwidth_bps);
-        let (_, inject_end) = m.nic(self.rank).reserve(inject);
+        let (_, inject_end) = m.nic(self.rank).reserve_at(arrival, inject);
         let hops = if dst == self.rank {
             0
         } else {
@@ -224,36 +241,17 @@ impl Comm {
             inject_end
         };
         let deliver_at = route_end.max(inject_end) + latency;
-        {
-            let mut mb = self.world.inner.mailboxes[dst].borrow_mut();
-            mb.msgs.push_back(Envelope {
-                src: self.rank,
-                tag,
-                deliver_at,
-                payload,
-            });
-            for w in mb.wakers.drain(..) {
-                w.wake();
-            }
+        let mut mb = self.world.inner.mailboxes[dst].borrow_mut();
+        mb.msgs.push_back(Envelope {
+            src: self.rank,
+            tag,
+            deliver_at,
+            payload,
+        });
+        for w in mb.wakers.drain(..) {
+            w.wake();
         }
-        h.sleep_until(inject_end).await;
-    }
-
-    /// Non-blocking send (MPI `Isend` style): the injection proceeds in a
-    /// background task; await the returned handle to complete the send
-    /// (MPI `Wait`). Message ordering per `(src, dst, tag)` follows the
-    /// posting order, as the mailbox enqueues at posting time.
-    pub fn isend(
-        &self,
-        dst: usize,
-        tag: u64,
-        payload: Payload,
-    ) -> iosim_simkit::executor::JoinHandle<()> {
-        let me = self.clone();
-        self.world
-            .machine()
-            .handle()
-            .spawn(async move { me.send(dst, tag, payload).await })
+        inject_end
     }
 
     /// Receive a message matching `(src, tag)`. Returns `(source, payload)`.
@@ -271,6 +269,34 @@ impl Comm {
         let h = self.world.machine().handle().clone();
         h.sleep_until(env.deliver_at).await;
         (env.src, env.payload)
+    }
+
+    /// Receive `count` messages with `tag` from any sources, handing each
+    /// to `each(source, payload)` as it is matched, and complete once the
+    /// last one is delivered.
+    ///
+    /// Each wake-up takes every matching message already in the mailbox,
+    /// and the receive then sleeps once, until the latest delivery
+    /// instant. It completes at the same instant as `count` successive
+    /// [`Comm::recv`]s: a message is enqueued no later than it is
+    /// delivered, so both finish at the later of now and the latest
+    /// delivery, whatever order the messages arrive in.
+    pub(crate) async fn recv_all(
+        &self,
+        tag: u64,
+        count: usize,
+        mut each: impl FnMut(usize, Payload),
+    ) {
+        let deliver_at = RecvAll {
+            world: &self.world,
+            rank: self.rank,
+            tag,
+            left: count,
+            latest: SimTime::ZERO,
+            each: &mut each,
+        }
+        .await;
+        self.world.machine().handle().sleep_until(deliver_at).await;
     }
 
     /// Next collective tag (shared sequence across collective calls).
@@ -307,6 +333,42 @@ impl Future for MatchFuture {
                 Poll::Pending
             }
         }
+    }
+}
+
+/// The matching half of [`Comm::recv_all`]: ready with the latest
+/// delivery instant once `left` messages have been taken.
+struct RecvAll<'a, F> {
+    world: &'a World,
+    rank: usize,
+    tag: u64,
+    left: usize,
+    latest: SimTime,
+    each: &'a mut F,
+}
+
+impl<F: FnMut(usize, Payload)> Future for RecvAll<'_, F> {
+    type Output = SimTime;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
+        let this = self.get_mut();
+        while this.left > 0 {
+            // The mailbox borrow ends before `each` runs, so the callback
+            // may post messages, even to this rank.
+            let env = {
+                let mut mb = this.world.inner.mailboxes[this.rank].borrow_mut();
+                match mb.msgs.iter().position(|e| e.tag == this.tag) {
+                    Some(i) => mb.msgs.remove(i).expect("index valid"),
+                    None => {
+                        mb.wakers.push(cx.waker().clone());
+                        return Poll::Pending;
+                    }
+                }
+            };
+            this.left -= 1;
+            this.latest = this.latest.max(env.deliver_at);
+            (this.each)(env.src, env.payload);
+        }
+        Poll::Ready(this.latest)
     }
 }
 
@@ -532,56 +594,6 @@ mod tests {
             contended >= free,
             "contention cannot speed things up: {contended} vs {free}"
         );
-    }
-
-    #[test]
-    fn isend_overlaps_injections_with_work() {
-        let mut sim = Sim::new();
-        let w = world(&sim, 2);
-        let h = sim.handle();
-        let c0 = w.comm(0);
-        let c1 = w.comm(1);
-        let jh = sim.spawn(async move {
-            // Post two non-blocking sends, "compute", then wait for both.
-            let s1 = c0.isend(1, 1, Payload::bytes(vec![1]));
-            let s2 = c0.isend(1, 2, Payload::bytes(vec![2]));
-            h.sleep(SimDuration::from_millis(5)).await;
-            s1.await;
-            s2.await;
-            let (_, a) = c1.recv(MatchSrc::Rank(0), 1).await;
-            let (_, b) = c1.recv(MatchSrc::Rank(0), 2).await;
-            (a.into_bytes(), b.into_bytes(), h.now())
-        });
-        sim.run();
-        let (a, b, t) = jh.try_take().unwrap();
-        assert_eq!(a, vec![1]);
-        assert_eq!(b, vec![2]);
-        // Small messages inject during the 5 ms of "compute": total stays 5 ms.
-        assert_eq!(t, SimTime(5_000_000));
-    }
-
-    #[test]
-    fn isend_preserves_posting_order_per_tag() {
-        let mut sim = Sim::new();
-        let w = world(&sim, 2);
-        let c0 = w.comm(0);
-        let c1 = w.comm(1);
-        let jh = sim.spawn(async move {
-            let handles: Vec<_> = (0..5u8)
-                .map(|i| c0.isend(1, 9, Payload::bytes(vec![i])))
-                .collect();
-            for hdl in handles {
-                hdl.await;
-            }
-            let mut got = Vec::new();
-            for _ in 0..5 {
-                let (_, p) = c1.recv(MatchSrc::Rank(0), 9).await;
-                got.push(p.into_bytes()[0]);
-            }
-            got
-        });
-        sim.run();
-        assert_eq!(jh.try_take().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

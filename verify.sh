@@ -89,6 +89,37 @@ for mode in direct list twophase; do
   }
 done
 
+echo "== EXPERIMENTS.md matches what repro writes =="
+# Regenerates every paper table and extension into a temp file and diffs
+# it against the committed EXPERIMENTS.md, so a change that moves any
+# virtual result, shape check or schedule fingerprint fails here.
+# Extension 11's table also reports host throughput (events/sec, host
+# wall time and the host's core count), which differs from run to run
+# and machine to machine; those fields alone are masked on both sides.
+mask_host_time() {
+  awk '
+    /^## / { ext11 = /^## Extension 11:/ }
+    ext11 {
+      gsub(/this host has [0-9]+ core\(s\)/, "this host has N core(s)")
+      sub(/on this [0-9]+-core host: .*/, "on this N-core host: (host timing)")
+      if ($0 ~ /^[a-z_]+ \| [0-9]+ \| [0-9.]+ \| [0-9.]+ \| 0x[0-9a-f]+$/) {
+        split($0, f, / \| /)
+        $0 = f[1] " | " f[2] " | - | - | " f[5]
+      }
+      if ($0 ~ /^ +[0-9.]+( +[0-9.]+)+$/) { $0 = $1 " (host timing)" }
+    }
+    { print }
+  ' "$1"
+}
+md="$(mktemp)"
+cargo run --release --offline -q -p iosim-bench --bin repro -- all --write-md "$md" >/dev/null
+if ! diff <(mask_host_time EXPERIMENTS.md) <(mask_host_time "$md"); then
+  rm -f "$md"
+  echo "repro output differs from EXPERIMENTS.md (diff above)"
+  exit 1
+fi
+rm -f "$md"
+
 echo "== flat-structure hygiene: no raw std hash maps on sim paths =="
 # Engine-side crates take hash maps from iosim_simkit::hash (fixed
 # keys, documented point-lookup-only discipline), never directly from
