@@ -7,13 +7,17 @@
 //! which linear algorithms capture, and the paper's optimizations do not
 //! depend on clever collective trees.
 //!
-//! A rank's sends within one collective are posted together and its
-//! receives taken together (see `Comm::post` and `Comm::recv_all`),
-//! so a collective costs a rank one injection wait and one delivery wait
-//! rather than a wake-up per message, with every virtual time unchanged.
-//! Under mesh-link contention the order in which ranks book route links
-//! is part of the model, so there the collectives keep the
-//! message-at-a-time schedule.
+//! In `allgather`, `alltoallv` and the root's side of `gather` and
+//! `bcast`, a rank's sends are posted together and its receives taken
+//! together (see `Comm::post` and `Comm::recv_all`), so the collective
+//! costs a rank one injection wait and one delivery wait rather than a
+//! wake-up per message, with every virtual time unchanged. Under
+//! mesh-link contention the order in which ranks book route links is
+//! part of the model, so there they keep the message-at-a-time
+//! schedule. `barrier` and the `allreduce_*` pair always send and
+//! receive one message at a time: the reductions fold values in arrival
+//! order, and batching `barrier` reorders the polls of the runs whose
+//! schedule fingerprints the experiments report.
 
 use crate::comm::{Comm, MatchSrc, Payload};
 
@@ -67,12 +71,15 @@ impl Comm {
         let t2 = self.next_coll_tag();
         let n = self.size();
         if self.rank() == 0 {
-            self.recv_each(t1, n - 1, |_, _| {}).await;
+            for _ in 1..n {
+                self.recv(MatchSrc::Any, t1).await;
+            }
             if let Some(link) = self.world().shard_link() {
                 link.barrier().await;
             }
-            self.send_each(t2, (1..n).map(|dst| (dst, Payload::empty())))
-                .await;
+            for dst in 1..n {
+                self.send(dst, t2, Payload::empty()).await;
+            }
         } else {
             self.send(0, t1, Payload::empty()).await;
             self.recv(MatchSrc::Rank(0), t2).await;

