@@ -26,9 +26,7 @@ use iosim_core::two_phase::{write_collective, Piece};
 use iosim_machine::{presets, Interface, MachineConfig};
 use iosim_pfs::{CreateOptions, IoRequest};
 
-use crate::common::{
-    run_ranks, run_ranks_sharded, AppCtx, RankFuture, RunResult, ShardFinish, ShardProgram,
-};
+use crate::common::{run_ranks, AppCtx, RunResult};
 
 /// Bytes per grid cell: 5 solution variables of `f64`.
 const CELL: u64 = 40;
@@ -184,26 +182,6 @@ pub fn run(cfg: &BtioConfig) -> RunResult {
             rank_program(ctx, cfg).await;
         })
     })
-}
-
-/// Run BTIO on the sharded parallel engine (up to `workers` host
-/// threads; see [`crate::common::run_ranks_sharded`]). Timing-only mode.
-pub fn run_threaded(cfg: &BtioConfig, workers: usize) -> RunResult {
-    assert!(!cfg.stored, "sharded runs are timing-only");
-    let cfg2 = cfg.clone();
-    let (res, _) = run_ranks_sharded(cfg.machine(), cfg.procs, workers, move |_spec| {
-        let cfg = cfg2.clone();
-        (
-            Box::new(move |ctx: AppCtx| -> RankFuture {
-                let cfg = cfg.clone();
-                Box::pin(async move {
-                    rank_program(ctx, cfg).await;
-                })
-            }) as ShardProgram,
-            Box::new(|| ()) as ShardFinish<()>,
-        )
-    });
-    res
 }
 
 /// Run BTIO and capture the final file contents (stored mode, for

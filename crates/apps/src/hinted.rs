@@ -14,14 +14,14 @@
 //! (exactly as an MPI-IO implementation ignores a hint key it does not
 //! recognize). The consumption matrix:
 //!
-//! | workload | cache | depth | aggregators | interface | stripe | I/O nodes | threads |
-//! |---|---|---|---|---|---|---|---|
-//! | `scf11` | ✓ | ✓ | — | ✓ (selects code version) | ✓ | ✓ | ✓ |
-//! | `scf30` | ✓ | ✓ | — | — | — | ✓ | ✓ |
-//! | `fft`   | ✓ | ✓ | — | — | — | ✓ | ✓ |
-//! | `btio`  | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | ✓ |
-//! | `ast`   | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ | ✓ |
-//! | `synth` | ✓ | ✓ | ✓ (two-phase window) | ✓ (PASSION = list-I/O) | ✓ | ✓ | ✓ |
+//! | workload | cache | depth | aggregators | interface | stripe | I/O nodes |
+//! |---|---|---|---|---|---|---|
+//! | `scf11` | ✓ | ✓ | — | ✓ (selects code version) | ✓ | ✓ |
+//! | `scf30` | ✓ | ✓ | — | — | — | ✓ |
+//! | `fft`   | ✓ | ✓ | — | — | — | ✓ |
+//! | `btio`  | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ |
+//! | `ast`   | ✓ | ✓ | ✓ (>0 = two-phase) | — | — | ✓ |
+//! | `synth` | ✓ | ✓ | ✓ (two-phase window) | ✓ (PASSION = list-I/O) | ✓ | ✓ |
 //!
 //! The `scale` argument is the advisor's *fidelity* axis in `(0, 1]`:
 //! 1.0 is the full evaluation (the same small-but-real configurations
@@ -35,7 +35,7 @@
 use iosim_core::advisor::hints::Hints;
 use iosim_machine::Interface;
 use iosim_simkit::time::SimDuration;
-use iosim_workload::{run_open_loop, run_open_loop_threaded, ReplaySpec, SynthSpec};
+use iosim_workload::{run_open_loop, ReplaySpec, SynthSpec};
 
 use crate::common::{with_cache_mb, with_queue_depth, RunResult};
 use crate::{ast, btio, fft, scf11, scf30};
@@ -130,10 +130,7 @@ fn scf11_version(i: Interface) -> scf11::Scf11Version {
 ///
 /// `hints` should be canonical (the advisor canonicalizes at admission);
 /// non-canonical but valid hints evaluate identically to their canonical
-/// form because every knob is consumed post-canonicalization. Sharded
-/// runs (`threads > 1`) use the conservative-lookahead engine, whose
-/// virtual times are identical at every *worker* count — the thread hint
-/// is a model choice (monolithic vs sharded), not a nondeterminism knob.
+/// form because every knob is consumed post-canonicalization.
 ///
 /// # Panics
 /// Panics on an unknown workload name or a fidelity outside `(0, 1]`.
@@ -152,11 +149,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 scale: 0.02 * scale,
                 ..scf11::Scf11Config::new(scf11::ScfInput::Small, scf11_version(h.interface))
             };
-            if h.threads > 1 {
-                scf11::run_threaded(&cfg, h.threads).run
-            } else {
-                scf11::run(&cfg).run
-            }
+            scf11::run(&cfg).run
         }
         "scf30" => {
             let cfg = scf30::Scf30Config {
@@ -166,11 +159,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 scale: 0.02 * scale,
                 ..scf30::Scf30Config::new(scf11::ScfInput::Small, 8, 75)
             };
-            if h.threads > 1 {
-                scf30::run_threaded(&cfg, h.threads).run
-            } else {
-                scf30::run(&cfg).run
-            }
+            scf30::run(&cfg).run
         }
         "fft" => {
             let cfg = fft::FftConfig {
@@ -179,11 +168,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..fft::FftConfig::new(fft_n(scale), 4, true)
             };
-            if h.threads > 1 {
-                fft::run_threaded(&cfg, h.threads)
-            } else {
-                fft::run(&cfg)
-            }
+            fft::run(&cfg)
         }
         "btio" => {
             let cfg = btio::BtioConfig {
@@ -193,11 +178,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..btio::BtioConfig::new(btio::BtClass::Custom(16), 9, h.aggregators > 0)
             };
-            if h.threads > 1 {
-                btio::run_threaded(&cfg, h.threads)
-            } else {
-                btio::run(&cfg)
-            }
+            btio::run(&cfg)
         }
         "ast" => {
             let cfg = ast::AstConfig {
@@ -208,11 +189,7 @@ pub fn run_hinted(workload: &str, hints: &Hints, scale: f64) -> RunSummary {
                 queue_depth: h.io_queue_depth,
                 ..ast::AstConfig::new(4, h.io_nodes, h.aggregators > 0)
             };
-            if h.threads > 1 {
-                ast::run_threaded(&cfg, h.threads)
-            } else {
-                ast::run(&cfg)
-            }
+            ast::run(&cfg)
         }
         "synth" => return run_hinted_synth(&h, scale),
         other => panic!("unknown advisable workload {other:?}"),
@@ -247,11 +224,7 @@ fn run_hinted_synth(h: &Hints, scale: f64) -> RunSummary {
     } else {
         ReplaySpec::direct(machine)
     };
-    let report = if h.threads > 1 {
-        run_open_loop_threaded(&synth, &spec, h.threads)
-    } else {
-        run_open_loop(&synth, &spec)
-    };
+    let report = run_open_loop(&synth, &spec);
     RunSummary {
         exec_ns: report.stats.exec_time.as_nanos(),
         io_ns: report.stats.io_time.as_nanos(),
@@ -290,7 +263,6 @@ mod tests {
     fn non_canonical_hints_evaluate_like_their_canonical_form() {
         let raw = Hints {
             io_queue_depth: 0,
-            threads: 0,
             stripe_unit_kb: 48,
             ..Hints::default()
         };

@@ -31,9 +31,7 @@ use iosim_machine::{presets, Interface};
 use iosim_pfs::{CreateOptions, IoRequest};
 use iosim_simkit::time::SimDuration;
 
-use crate::common::{
-    run_ranks, run_ranks_sharded, AppCtx, RankFuture, RunResult, ShardFinish, ShardProgram,
-};
+use crate::common::{run_ranks, AppCtx, RunResult};
 
 /// The paper's three representative inputs (number of basis functions N).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,39 +220,6 @@ pub fn run(cfg: &Scf11Config) -> Scf11Result {
         .borrow()
         .iter()
         .copied()
-        .fold(SimDuration::ZERO, SimDuration::max);
-    Scf11Result { run, fg_io_time }
-}
-
-/// Run SCF 1.1 on the sharded parallel engine (up to `workers` host
-/// threads; see [`crate::common::run_ranks_sharded`]). The foreground
-/// I/O time is the max across shards of each shard's slowest rank.
-pub fn run_threaded(cfg: &Scf11Config, workers: usize) -> Scf11Result {
-    let cfg2 = cfg.clone();
-    let (run, per_shard) = run_ranks_sharded(machine(cfg), cfg.procs, workers, move |_spec| {
-        let cfg = cfg2.clone();
-        let fg_io: Rc<RefCell<Vec<SimDuration>>> = Rc::new(RefCell::new(Vec::new()));
-        let fg2 = Rc::clone(&fg_io);
-        (
-            Box::new(move |ctx: AppCtx| -> RankFuture {
-                let cfg = cfg.clone();
-                let fg_io = Rc::clone(&fg2);
-                Box::pin(async move {
-                    let t = rank_program(ctx, cfg).await;
-                    fg_io.borrow_mut().push(t);
-                })
-            }) as ShardProgram,
-            Box::new(move || {
-                fg_io
-                    .borrow()
-                    .iter()
-                    .copied()
-                    .fold(SimDuration::ZERO, SimDuration::max)
-            }) as ShardFinish<SimDuration>,
-        )
-    });
-    let fg_io_time = per_shard
-        .into_iter()
         .fold(SimDuration::ZERO, SimDuration::max);
     Scf11Result { run, fg_io_time }
 }

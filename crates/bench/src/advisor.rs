@@ -232,8 +232,10 @@ impl MemoCache {
 }
 
 /// Memo snapshot format version; an unknown version is treated as
-/// corruption and the load starts cold.
-const MEMO_FORMAT_VERSION: u8 = 1;
+/// corruption and the load starts cold. Version 2: hint fingerprints no
+/// longer pack a host-thread count, so a version-1 key would decode to
+/// a different configuration.
+const MEMO_FORMAT_VERSION: u8 = 2;
 
 /// Fixed record width: the 3-word memo key plus the 5-word summary.
 const MEMO_RECORD_BYTES: usize = 8 * 8;
@@ -911,6 +913,21 @@ mod tests {
         // The pristine bytes still load.
         std::fs::write(&tmp.0, &good).unwrap();
         assert_eq!(BatchAdvisor::new(64, 1).load(&tmp.0), 1);
+    }
+
+    #[test]
+    fn version_one_memo_files_load_cold() {
+        let tmp = TempPath::new("v1");
+        let mut adv = BatchAdvisor::new(64, 1);
+        adv.evaluate(&[q(Hints::default())], 0.25).unwrap();
+        adv.save(&tmp.0).unwrap();
+        let mut v1 = std::fs::read(&tmp.0).unwrap();
+        v1[0] = 1;
+        std::fs::write(&tmp.0, &v1).unwrap();
+        let mut cold = BatchAdvisor::new(64, 1);
+        assert_eq!(cold.load(&tmp.0), 0);
+        let r = cold.evaluate(&[q(Hints::default())], 0.25).unwrap();
+        assert_eq!(r.stats.memo_hits, 0);
     }
 
     #[test]

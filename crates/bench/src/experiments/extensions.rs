@@ -1057,215 +1057,6 @@ pub fn ext_overload(scale: f64) -> ExperimentReport {
     report
 }
 
-/// Host-thread ladder of the shard-scaling ablation (extension 11).
-pub const SHARD_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Workloads of the shard-scaling ablation, in report order: two
-/// multi-I/O-node applications and an ext10-style open-loop overload
-/// replay.
-pub const SHARD_SCALING_NAMES: [&str; 3] = ["fft", "btio", "openloop_overload"];
-
-/// One measured cell of the shard-scaling ablation.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardRunSample {
-    /// Host threads requested.
-    pub threads: usize,
-    /// Host wall time of the simulation.
-    pub wall: std::time::Duration,
-    /// Task polls executed across all shards.
-    pub sim_events: u64,
-    /// Scheduler throughput: polls per host second.
-    pub events_per_sec: f64,
-    /// Virtual completion time — must be identical across thread counts.
-    pub virtual_exec_s: f64,
-    /// Combined schedule fingerprint — must be identical across thread
-    /// counts.
-    pub fingerprint: u64,
-}
-
-fn shard_scaling_fft_cfg() -> iosim_apps::fft::FftConfig {
-    // 8 ranks over the small Paragon's 2 I/O nodes: a 2-shard plan.
-    iosim_apps::fft::FftConfig::new(256, 8, true)
-}
-
-fn shard_scaling_btio_cfg() -> iosim_apps::btio::BtioConfig {
-    use iosim_apps::btio::{BtClass, BtioConfig};
-    // 9 ranks on the SP-2's 4 I/O nodes: a 4-shard plan.
-    BtioConfig {
-        dumps: 2,
-        ..BtioConfig::new(BtClass::Custom(16), 9, false)
-    }
-}
-
-fn shard_scaling_synth() -> (iosim_workload::SynthSpec, iosim_workload::ReplaySpec) {
-    use iosim_simkit::time::SimDuration;
-    use iosim_workload::{ReplaySpec, SynthSpec};
-    // The ext10 overload population at a mid-ladder rate.
-    let mut synth = SynthSpec::small(4.0, 4242);
-    synth.clients = 24;
-    synth.duration = SimDuration::from_secs_f64(2.0);
-    synth.op_bytes = 32 << 10;
-    synth.fragments = 4;
-    synth.files = 2;
-    synth.file_bytes = 8 << 20;
-    (synth, ReplaySpec::direct(presets::paragon_small()))
-}
-
-/// Run one shard-scaling workload at `threads` host threads and sample
-/// its schedule and throughput (one cell of extension 11).
-pub fn run_shard_scaling_config(name: &str, threads: usize) -> ShardRunSample {
-    use iosim_apps::{btio, fft};
-    use iosim_workload::run_open_loop_threaded;
-    let (fingerprint, sim_events, virtual_exec_s, wall) = match name {
-        "fft" => {
-            let r = fft::run_threaded(&shard_scaling_fft_cfg(), threads);
-            (
-                r.sched_fingerprint,
-                r.sim_events,
-                r.exec_time.as_secs_f64(),
-                r.host_elapsed,
-            )
-        }
-        "btio" => {
-            let r = btio::run_threaded(&shard_scaling_btio_cfg(), threads);
-            (
-                r.sched_fingerprint,
-                r.sim_events,
-                r.exec_time.as_secs_f64(),
-                r.host_elapsed,
-            )
-        }
-        "openloop_overload" => {
-            let (synth, spec) = shard_scaling_synth();
-            let r = run_open_loop_threaded(&synth, &spec, threads);
-            (
-                r.stats.sched_fingerprint,
-                r.stats.sim_events,
-                r.stats.exec_time.as_secs_f64(),
-                r.stats.host_elapsed,
-            )
-        }
-        other => panic!("unknown shard-scaling config {other}"),
-    };
-    let s = wall.as_secs_f64();
-    ShardRunSample {
-        threads,
-        wall,
-        sim_events,
-        events_per_sec: if s > 0.0 { sim_events as f64 / s } else { 0.0 },
-        virtual_exec_s,
-        fingerprint,
-    }
-}
-
-/// The monolithic (single-executor) oracle fingerprint of a shard-scaling
-/// workload — differs from the sharded fingerprint exactly when the
-/// machine genuinely decomposed into more than one shard.
-fn shard_scaling_monolithic_fingerprint(name: &str) -> u64 {
-    use iosim_apps::{btio, fft};
-    use iosim_workload::run_open_loop;
-    match name {
-        "fft" => fft::run(&shard_scaling_fft_cfg()).sched_fingerprint,
-        "btio" => btio::run(&shard_scaling_btio_cfg()).sched_fingerprint,
-        "openloop_overload" => {
-            let (synth, spec) = shard_scaling_synth();
-            run_open_loop(&synth, &spec).stats.sched_fingerprint
-        }
-        other => panic!("unknown shard-scaling config {other}"),
-    }
-}
-
-/// Extension 11: shard-scaling ablation. The sharded conservative-
-/// lookahead engine runs FFT (2 shards), BTIO (4 shards), and an
-/// ext10-style open-loop overload replay (2 shards) at 1, 2, 4, and 8
-/// host threads. The engine's contract is measured, not assumed: the
-/// combined schedule fingerprint and the virtual completion time must be
-/// bit-identical at every thread count (worker placement is invisible),
-/// while events/sec and wall time are free to scale with the host.
-/// Throughput ratios are honest measurements of *this* host — on a
-/// single-core container threads cannot speed anything up, and the
-/// report says so rather than faking a curve.
-pub fn ext_shard_scaling(scale: f64) -> ExperimentReport {
-    let _ = scale;
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut report = ExperimentReport::new(format!(
-        "Extension 11: shard-scaling ablation — sharded conservative-lookahead engine \
-         at 1/2/4/8 host threads (this host has {host_cores} core(s))"
-    ));
-    report.push_body("config | threads | events/sec | host wall (ms) | fingerprint");
-    report.push_body("-------|---------|------------|----------------|------------");
-    let mut fig = TextFigure::new(
-        "scheduler throughput vs host threads",
-        "threads",
-        "events/sec",
-    );
-    let mut all_deterministic = true;
-    let mut all_virtual_invariant = true;
-    let mut all_multi_shard = true;
-    let mut ratio_lines = Vec::new();
-    for name in SHARD_SCALING_NAMES {
-        let samples: Vec<ShardRunSample> = SHARD_THREADS
-            .iter()
-            .map(|&t| run_shard_scaling_config(name, t))
-            .collect();
-        for s in &samples {
-            report.push_body(&format!(
-                "{name} | {} | {:.0} | {:.1} | {:#018x}",
-                s.threads,
-                s.events_per_sec,
-                s.wall.as_secs_f64() * 1e3,
-                s.fingerprint,
-            ));
-        }
-        all_deterministic &= samples
-            .iter()
-            .all(|s| s.fingerprint == samples[0].fingerprint);
-        all_virtual_invariant &= samples
-            .iter()
-            .all(|s| s.virtual_exec_s == samples[0].virtual_exec_s);
-        all_multi_shard &= samples[0].fingerprint != shard_scaling_monolithic_fingerprint(name);
-        let base = samples[0].events_per_sec;
-        let at4 = samples
-            .iter()
-            .find(|s| s.threads == 4)
-            .map_or(0.0, |s| s.events_per_sec);
-        ratio_lines.push(format!(
-            "{name}: {:.2}x events/sec at 4 threads vs 1",
-            if base > 0.0 { at4 / base } else { 0.0 }
-        ));
-        fig.push(Series::new(
-            name,
-            samples
-                .iter()
-                .map(|s| (s.threads as f64, s.events_per_sec))
-                .collect(),
-        ));
-    }
-    report.push_figure(fig);
-    report.push_body(&format!(
-        "threads=4 vs threads=1 on this {host_cores}-core host: {}",
-        ratio_lines.join("; ")
-    ));
-    report.push(Comparison::claim(
-        "the schedule fingerprint is bit-identical at 1, 2, 4, and 8 host threads",
-        "conservative windows make worker placement invisible (tentpole determinism bar)",
-        all_deterministic,
-    ));
-    report.push(Comparison::claim(
-        "virtual completion times are identical across thread counts",
-        "thread count is a host-side knob; the simulated machine never sees it (extension)",
-        all_virtual_invariant,
-    ));
-    report.push(Comparison::claim(
-        "every multi-I/O-node workload genuinely decomposes into multiple shards",
-        "the sharded schedule differs from the monolithic oracle's on all three configs (extension)",
-        all_multi_shard,
-    ));
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,12 +1120,5 @@ mod tests {
     fn overload_extension_holds() {
         let r = ext_overload(1.0);
         assert_shape(&r);
-    }
-
-    #[test]
-    fn shard_scaling_extension_holds() {
-        let r = ext_shard_scaling(1.0);
-        assert_shape(&r);
-        assert!(r.body.contains("fingerprint"));
     }
 }

@@ -39,16 +39,14 @@ pub fn all(scale: f64) -> Vec<ExperimentReport> {
     out.push(extensions::ext_listio_ablation(scale));
     out.push(extensions::ext_queue_ablation(scale));
     out.push(extensions::ext_overload(scale));
-    out.push(extensions::ext_shard_scaling(scale));
     out
 }
 
 /// Experiment ids accepted by the `repro` binary: the paper's tables and
 /// figures in order, then the extension studies.
-pub const IDS: [&str; 23] = [
+pub const IDS: [&str; 22] = [
     "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table4",
     "table5", "ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9", "ext10",
-    "ext11",
 ];
 
 /// Run one experiment by id.
@@ -76,7 +74,6 @@ pub fn by_id(id: &str, scale: f64) -> Option<ExperimentReport> {
         "ext8" => extensions::ext_listio_ablation(scale),
         "ext9" => extensions::ext_queue_ablation(scale),
         "ext10" => extensions::ext_overload(scale),
-        "ext11" => extensions::ext_shard_scaling(scale),
         _ => return None,
     })
 }

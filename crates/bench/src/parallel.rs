@@ -76,8 +76,8 @@ impl<R> Copy for SendPtr<R> {}
 unsafe impl<R: Send> Send for SendPtr<R> {}
 unsafe impl<R: Send> Sync for SendPtr<R> {}
 
-/// Environment variable that pins the host thread count for sweeps and
-/// the sharded engine (CI uses it to make runs reproducible on any host).
+/// Environment variable that pins the host thread count for sweeps (CI
+/// uses it to make runs reproducible on any host).
 pub const THREADS_ENV: &str = "IOSIM_THREADS";
 
 /// A sensible default thread count for sweeps: the `IOSIM_THREADS`

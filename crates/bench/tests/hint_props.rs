@@ -19,7 +19,7 @@
 //! * grid sampling is a pure function of (grid, n, seed).
 
 use iosim_core::advisor::hints::{
-    MAX_AGGREGATORS, MAX_CACHE_MB, MAX_IO_NODES, MAX_QUEUE_DEPTH, MAX_STRIPE_UNIT_KB, MAX_THREADS,
+    MAX_AGGREGATORS, MAX_CACHE_MB, MAX_IO_NODES, MAX_QUEUE_DEPTH, MAX_STRIPE_UNIT_KB,
 };
 use iosim_core::{HintGrid, Hints};
 use iosim_machine::Interface;
@@ -42,7 +42,6 @@ fn arb_hints(rng: &mut SimRng) -> Hints {
         interface: INTERFACES[rng.range(0, 3) as usize],
         stripe_unit_kb: rng.range(0, 130),
         io_nodes: rng.range(0, 5) as usize,
-        threads: rng.range(0, 3) as usize,
     }
 }
 
@@ -58,9 +57,6 @@ fn respell(h: &Hints, rng: &mut SimRng) -> Hints {
     // zero counts mean one.
     if r.io_nodes <= 1 {
         r.io_nodes = rng.range(0, 2) as usize;
-    }
-    if r.threads <= 1 {
-        r.threads = rng.range(0, 2) as usize;
     }
     // any stripe unit in (pow2/2, pow2] rounds up to the same pow2.
     let pow2 = r.stripe_unit_kb.next_power_of_two().max(1);
@@ -102,7 +98,7 @@ fn single_knob_mutants_never_collide() {
         for step in 0..500u64 {
             let base = arb_hints(&mut rng).canonical().unwrap();
             let mut m = base;
-            match rng.range(0, 7) {
+            match rng.range(0, 6) {
                 0 => m.cache_mb = (m.cache_mb + 1 + rng.range(0, 16)) % (MAX_CACHE_MB + 1),
                 1 => {
                     m.io_queue_depth =
@@ -114,8 +110,7 @@ fn single_knob_mutants_never_collide() {
                         INTERFACES[(interface_ord(m.interface) + 1 + rng.range(0, 2) as usize) % 3]
                 }
                 4 => m.stripe_unit_kb = other_pow2(m.stripe_unit_kb, &mut rng),
-                5 => m.io_nodes = 1 + m.io_nodes % MAX_IO_NODES,
-                _ => m.threads = 1 + m.threads % MAX_THREADS,
+                _ => m.io_nodes = 1 + m.io_nodes % MAX_IO_NODES,
             }
             let m = m.canonical().unwrap();
             if m == base {
@@ -180,7 +175,7 @@ fn out_of_range_knobs_are_rejected_by_name() {
     // Every knob, one past its bound: validation names the knob, and
     // fingerprints of invalid hints are unreachable (canonical() errors
     // rather than packing out-of-width bits).
-    let cases: [(&str, Hints); 6] = [
+    let cases: [(&str, Hints); 5] = [
         (
             "cache_mb",
             Hints {
@@ -213,13 +208,6 @@ fn out_of_range_knobs_are_rejected_by_name() {
             "io_nodes",
             Hints {
                 io_nodes: MAX_IO_NODES + 1,
-                ..Hints::default()
-            },
-        ),
-        (
-            "threads",
-            Hints {
-                threads: MAX_THREADS + 1,
                 ..Hints::default()
             },
         ),

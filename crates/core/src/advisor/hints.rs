@@ -6,7 +6,7 @@
 //! honor or ignore per file. This module is that production form for the
 //! simulator: [`Hints`] names every machine/runtime knob grown over the
 //! previous PRs (buffer cache, command-queue depth, aggregator count,
-//! client interface, stripe unit, stripe factor, engine threads), with
+//! client interface, stripe unit, stripe factor), with
 //!
 //! - **validation** — every knob range-checked against the documented
 //!   bounds, so a planning service rejects nonsense before simulating it;
@@ -15,7 +15,7 @@
 //!   up to the power of two the PFS would actually use, zero counts mean
 //!   "one"), so duplicate what-if queries dedup instead of re-simulating;
 //! - **a stable 64-bit fingerprint** — an *injective* encoding of the
-//!   canonical form (61 bits of bounded knobs through an invertible
+//!   canonical form (54 bits of bounded knobs through an invertible
 //!   mixer), so fingerprint equality is exactly canonical-form equality
 //!   and a memo cache can key on the fingerprint alone.
 //!
@@ -37,8 +37,6 @@ pub const MAX_AGGREGATORS: usize = 4096;
 pub const MAX_STRIPE_UNIT_KB: u64 = 16_384;
 /// Largest I/O-node count (stripe factor).
 pub const MAX_IO_NODES: usize = 4096;
-/// Largest host-thread count for the sharded engine.
-pub const MAX_THREADS: usize = 64;
 
 /// A validation failure: which knob, and the offending value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,15 +82,12 @@ pub struct Hints {
     pub stripe_unit_kb: u64,
     /// I/O-node count — the stripe factor (0 means 1).
     pub io_nodes: usize,
-    /// Host threads for the sharded engine (0 means 1; virtual-time
-    /// results of a sharded run are identical at every thread count).
-    pub threads: usize,
 }
 
 impl Default for Hints {
     /// The paper's baseline posture: no cache, FIFO disk queue, no
     /// collective aggregation, PASSION interface, 64 KB stripe over 16
-    /// I/O nodes, monolithic engine.
+    /// I/O nodes.
     fn default() -> Hints {
         Hints {
             cache_mb: 0,
@@ -101,7 +96,6 @@ impl Default for Hints {
             interface: Interface::Passion,
             stripe_unit_kb: 64,
             io_nodes: 16,
-            threads: 1,
         }
     }
 }
@@ -129,7 +123,7 @@ impl Hints {
     /// stripe unit rounds *up*, and `MAX_STRIPE_UNIT_KB` is itself a
     /// power of two).
     pub fn validate(&self) -> Result<(), HintError> {
-        let checks: [(&'static str, u64, u64); 6] = [
+        let checks: [(&'static str, u64, u64); 5] = [
             ("cache_mb", self.cache_mb, MAX_CACHE_MB),
             (
                 "io_queue_depth",
@@ -143,7 +137,6 @@ impl Hints {
             ),
             ("stripe_unit_kb", self.stripe_unit_kb, MAX_STRIPE_UNIT_KB),
             ("io_nodes", self.io_nodes as u64, MAX_IO_NODES as u64),
-            ("threads", self.threads as u64, MAX_THREADS as u64),
         ];
         for (knob, value, max) in checks {
             if value > max {
@@ -157,7 +150,7 @@ impl Hints {
     /// equivalence class. Idempotent, and the domain of the fingerprint.
     ///
     /// - queue depth 0 → 1 (both are the legacy FIFO path);
-    /// - thread count 0 → 1, I/O-node count 0 → 1;
+    /// - I/O-node count 0 → 1;
     /// - stripe unit rounds up to the next power of two (what the PFS
     ///   block layer would actually allocate), 0 → 1 KB.
     pub fn canonical(&self) -> Result<Hints, HintError> {
@@ -169,7 +162,6 @@ impl Hints {
             interface: self.interface,
             stripe_unit_kb: self.stripe_unit_kb.next_power_of_two().max(1),
             io_nodes: self.io_nodes.max(1),
-            threads: self.threads.max(1),
         })
     }
 
@@ -179,7 +171,7 @@ impl Hints {
     }
 
     /// The stable 64-bit configuration fingerprint: the canonical form
-    /// packed into 61 bits of bounded fields, then passed through an
+    /// packed into 54 bits of bounded fields, then passed through an
     /// invertible mixer. Injective on the validated hint space, so
     /// **fingerprint equality ⇔ canonical-form equality** — a memo cache
     /// may key on the fingerprint alone, with no collision audit.
@@ -189,14 +181,13 @@ impl Hints {
     /// (and thereby validate) before fingerprinting.
     pub fn fingerprint(&self) -> u64 {
         let c = self.canonical().expect("fingerprint of invalid hints");
-        // Field widths: 13 + 9 + 13 + 2 + 4 + 13 + 7 = 61 bits.
+        // Field widths: 13 + 9 + 13 + 2 + 4 + 13 = 54 bits.
         let mut packed = c.cache_mb; // ≤ 4096 → 13 bits
         packed = (packed << 9) | c.io_queue_depth as u64; // 1..=256 → 9 bits
         packed = (packed << 13) | c.aggregators as u64; // ≤ 4096 → 13 bits
         packed = (packed << 2) | interface_ordinal(c.interface); // 2 bits
         packed = (packed << 4) | c.stripe_unit_kb.trailing_zeros() as u64; // 2^0..2^14 → 4 bits
         packed = (packed << 13) | c.io_nodes as u64; // 1..=4096 → 13 bits
-        packed = (packed << 7) | c.threads as u64; // 1..=64 → 7 bits
         mix64(packed)
     }
 
@@ -209,20 +200,19 @@ impl Hints {
     /// Compact one-line rendering, fingerprint-stable field order.
     pub fn render(&self) -> String {
         format!(
-            "cache={}MB depth={} agg={} if={:?} stripe={}KB ion={} thr={}",
+            "cache={}MB depth={} agg={} if={:?} stripe={}KB ion={}",
             self.cache_mb,
             self.io_queue_depth,
             self.aggregators,
             self.interface,
             self.stripe_unit_kb,
             self.io_nodes,
-            self.threads
         )
     }
 }
 
 /// A cartesian search space: one value list per knob. `enumerate`
-/// walks the product in a fixed mixed-radix order (threads fastest,
+/// walks the product in a fixed mixed-radix order (I/O nodes fastest,
 /// cache slowest — the declaration order below); `sample` draws with
 /// replacement, which deliberately produces duplicate queries.
 #[derive(Clone, Debug)]
@@ -239,8 +229,6 @@ pub struct HintGrid {
     pub stripe_unit_kb: Vec<u64>,
     /// I/O-node counts to try.
     pub io_nodes: Vec<usize>,
-    /// Engine thread counts to try.
-    pub threads: Vec<usize>,
 }
 
 impl Default for HintGrid {
@@ -254,7 +242,6 @@ impl Default for HintGrid {
             interface: vec![d.interface],
             stripe_unit_kb: vec![d.stripe_unit_kb],
             io_nodes: vec![d.io_nodes],
-            threads: vec![d.threads],
         }
     }
 }
@@ -268,7 +255,6 @@ impl HintGrid {
             * self.interface.len()
             * self.stripe_unit_kb.len()
             * self.io_nodes.len()
-            * self.threads.len()
     }
 
     /// True when any knob list is empty (the grid spans no point).
@@ -277,7 +263,7 @@ impl HintGrid {
     }
 
     /// The `idx`-th grid point in enumeration order (mixed-radix decode,
-    /// `threads` the fastest-varying digit).
+    /// `io_nodes` the fastest-varying digit).
     ///
     /// # Panics
     /// Panics if `idx >= self.len()`.
@@ -289,7 +275,6 @@ impl HintGrid {
             rest /= len;
             d
         };
-        let threads = self.threads[digit(self.threads.len())];
         let io_nodes = self.io_nodes[digit(self.io_nodes.len())];
         let stripe_unit_kb = self.stripe_unit_kb[digit(self.stripe_unit_kb.len())];
         let interface = self.interface[digit(self.interface.len())];
@@ -303,7 +288,6 @@ impl HintGrid {
             interface,
             stripe_unit_kb,
             io_nodes,
-            threads,
         }
     }
 
@@ -343,7 +327,18 @@ mod tests {
         let base = Hints::default();
         let zeroed = Hints {
             io_queue_depth: 0,
-            threads: 0,
+            io_nodes: 0,
+            ..base
+        };
+        assert_eq!(
+            zeroed.canonical().unwrap(),
+            Hints {
+                io_nodes: 1,
+                ..base
+            }
+        );
+        let zeroed = Hints {
+            io_queue_depth: 0,
             ..base
         };
         assert_eq!(zeroed.canonical().unwrap(), base);
@@ -365,7 +360,6 @@ mod tests {
             interface: Interface::UnixStyle,
             stripe_unit_kb: 100,
             io_nodes: 0,
-            threads: 0,
         };
         let once = raw.canonical().unwrap();
         assert_eq!(once.canonical().unwrap(), once);
@@ -391,16 +385,16 @@ mod tests {
         });
         assert_eq!(e.knob, "stripe_unit_kb");
         let e = over(Hints {
-            threads: MAX_THREADS + 1,
+            io_nodes: MAX_IO_NODES + 1,
             ..Hints::default()
         });
-        assert_eq!(e.knob, "threads");
+        assert_eq!(e.knob, "io_nodes");
     }
 
     #[test]
     fn fingerprint_distinguishes_every_knob() {
-        // Flip each knob away from the default one at a time: all eight
-        // fingerprints (default + 7 mutants) must be distinct.
+        // Flip each knob away from the default one at a time: all seven
+        // fingerprints (default + 6 mutants) must be distinct.
         let d = Hints::default();
         let mutants = [
             d,
@@ -422,7 +416,6 @@ mod tests {
                 ..d
             },
             Hints { io_nodes: 64, ..d },
-            Hints { threads: 4, ..d },
         ];
         let mut fps: Vec<u64> = mutants.iter().map(Hints::fingerprint).collect();
         fps.sort_unstable();
@@ -434,7 +427,7 @@ mod tests {
     fn fingerprint_is_stable_across_releases() {
         // The memo cache and the BENCH trajectory key on this value; a
         // silent encoding change would invalidate both. Pin it.
-        assert_eq!(Hints::default().fingerprint(), 0x3039_269a_f5fd_9c9a);
+        assert_eq!(Hints::default().fingerprint(), 0x2d6f_97c3_1ee0_760a);
     }
 
     #[test]
@@ -442,24 +435,24 @@ mod tests {
         let g = HintGrid {
             cache_mb: vec![0, 4],
             io_queue_depth: vec![1, 8],
-            threads: vec![1, 2],
+            io_nodes: vec![16, 32],
             ..HintGrid::default()
         };
         assert_eq!(g.len(), 8);
         let all = g.enumerate();
         assert_eq!(all.len(), 8);
-        // threads varies fastest, cache slowest.
+        // I/O nodes vary fastest, cache slowest.
         assert_eq!(
-            (all[0].cache_mb, all[0].io_queue_depth, all[0].threads),
-            (0, 1, 1)
+            (all[0].cache_mb, all[0].io_queue_depth, all[0].io_nodes),
+            (0, 1, 16)
         );
         assert_eq!(
-            (all[1].cache_mb, all[1].io_queue_depth, all[1].threads),
-            (0, 1, 2)
+            (all[1].cache_mb, all[1].io_queue_depth, all[1].io_nodes),
+            (0, 1, 32)
         );
         assert_eq!(
-            (all[7].cache_mb, all[7].io_queue_depth, all[7].threads),
-            (4, 8, 2)
+            (all[7].cache_mb, all[7].io_queue_depth, all[7].io_nodes),
+            (4, 8, 32)
         );
         // No duplicates in a product enumeration.
         let mut fps: Vec<u64> = all.iter().map(Hints::fingerprint).collect();

@@ -25,7 +25,6 @@ pub mod config;
 pub mod disk;
 pub mod machine;
 pub mod presets;
-pub mod shard;
 pub mod topology;
 
 pub use cmdring::{CmdRing, Pick};
@@ -37,5 +36,4 @@ pub use disk::{
     elevator_rank, pick_command, CommandView, DiskGeometry, SchedDecision, STARVATION_BOUND,
 };
 pub use machine::Machine;
-pub use shard::{ShardPlan, ShardSpec};
 pub use topology::{Coord, Topology};

@@ -85,17 +85,16 @@ struct Mailbox {
 
 struct WorldInner {
     machine: Rc<Machine>,
+    /// Compute node of each rank: rank `r` sends through `nodes[r]`'s
+    /// NIC and is that node's mesh position for hop counts.
+    nodes: Vec<usize>,
     mailboxes: Vec<RefCell<Mailbox>>,
-    /// Set when this world is one shard of a sharded run: global
-    /// collectives rendezvous with the other shards through this link.
-    shard_link: RefCell<Option<crate::shardlink::ShardLink>>,
 }
 
-/// The communication world: `size` ranks on one machine.
+/// The communication world: ranks on compute nodes of one machine.
 #[derive(Clone)]
 pub struct World {
     inner: Rc<WorldInner>,
-    size: usize,
 }
 
 impl World {
@@ -104,38 +103,37 @@ impl World {
     /// # Panics
     /// Panics if `size` exceeds the machine's compute nodes or is zero.
     pub fn new(machine: Rc<Machine>, size: usize) -> World {
-        assert!(size > 0, "world must have at least one rank");
-        assert!(
-            size <= machine.compute_nodes(),
-            "world of {size} ranks exceeds {} compute nodes",
-            machine.compute_nodes()
-        );
+        World::on_nodes(machine, (0..size).collect())
+    }
+
+    /// Create a world whose rank `r` runs on compute node `nodes[r]`: a
+    /// communicator over a subset of the machine, such as the ranks that
+    /// opened one file (MPI-IO runs a file's collectives over the
+    /// communicator that opened it).
+    ///
+    /// # Panics
+    /// Panics if `nodes` is empty or names a node the machine lacks.
+    pub fn on_nodes(machine: Rc<Machine>, nodes: Vec<usize>) -> World {
+        assert!(!nodes.is_empty(), "world must have at least one rank");
+        let limit = machine.compute_nodes();
+        if let Some(&bad) = nodes.iter().find(|&&n| n >= limit) {
+            panic!("world rank on node {bad} exceeds {limit} compute nodes");
+        }
         World {
             inner: Rc::new(WorldInner {
                 machine,
-                mailboxes: (0..size)
+                mailboxes: nodes
+                    .iter()
                     .map(|_| RefCell::new(Mailbox::default()))
                     .collect(),
-                shard_link: RefCell::new(None),
+                nodes,
             }),
-            size,
         }
-    }
-
-    /// Attach the cross-shard barrier link (sharded runs only). Global
-    /// collectives on this world will rendezvous with the other shards.
-    pub fn set_shard_link(&self, link: crate::shardlink::ShardLink) {
-        *self.inner.shard_link.borrow_mut() = Some(link);
-    }
-
-    /// The attached cross-shard link, if any.
-    pub fn shard_link(&self) -> Option<crate::shardlink::ShardLink> {
-        self.inner.shard_link.borrow().clone()
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.inner.nodes.len()
     }
 
     /// The machine the world runs on.
@@ -145,7 +143,7 @@ impl World {
 
     /// Endpoint for `rank`.
     pub fn comm(&self, rank: usize) -> Comm {
-        assert!(rank < self.size, "rank {rank} outside world");
+        assert!(rank < self.size(), "rank {rank} outside world");
         Comm {
             world: self.clone(),
             rank,
@@ -155,7 +153,7 @@ impl World {
 
     /// Endpoints for every rank, in rank order.
     pub fn comms(&self) -> Vec<Comm> {
-        (0..self.size).map(|r| self.comm(r)).collect()
+        (0..self.size()).map(|r| self.comm(r)).collect()
     }
 }
 
@@ -224,20 +222,22 @@ impl Comm {
             "a send cannot arrive in the past"
         );
         let cfg = m.cfg();
+        let nodes = &self.world.inner.nodes;
+        let (from, to) = (nodes[self.rank], nodes[dst]);
         let inject = SimDuration::from_secs_f64(payload.len as f64 / cfg.net.bandwidth_bps);
-        let (_, inject_end) = m.nic(self.rank).reserve_at(arrival, inject);
+        let (_, inject_end) = m.nic(from).reserve_at(arrival, inject);
         let hops = if dst == self.rank {
             0
         } else {
-            m.topology().compute_hops(self.rank, dst)
+            m.topology().compute_hops(from, to)
         };
         let latency = cfg.net.base_latency + cfg.net.per_hop_latency * hops as u64;
         // Under link-contention modelling, the message also books
         // bandwidth along its XY route.
         let route_end = if dst != self.rank && m.models_link_contention() {
             m.reserve_route(
-                m.topology().compute_coord(self.rank),
-                m.topology().compute_coord(dst),
+                m.topology().compute_coord(from),
+                m.topology().compute_coord(to),
                 payload.len,
                 inject_end,
             )
@@ -634,6 +634,40 @@ mod tests {
         });
         sim.run();
         assert_eq!(jh.try_take().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_world_on_chosen_nodes_sends_through_their_nics_and_hops() {
+        let mut sim = Sim::new();
+        let m = Machine::new(sim.handle(), presets::paragon_small());
+        let w = World::on_nodes(Rc::clone(&m), vec![3, 5]);
+        assert_eq!(w.size(), 2);
+        let (c0, c1) = (w.comm(0), w.comm(1));
+        let h = sim.handle();
+        let jh = sim.spawn(async move {
+            let s = h.spawn(async move { c0.send(1, 4, Payload::synthetic(80_000)).await });
+            c1.recv(MatchSrc::Rank(0), 4).await;
+            s.await;
+            h.now()
+        });
+        sim.run();
+        let delivered = jh.try_take().unwrap();
+        assert_eq!(m.nic(3).stats().requests, 1, "rank 0 sends from node 3");
+        assert_eq!(m.nic(0).stats().requests, 0, "node 0 is not in the world");
+        let net = &m.cfg().net;
+        let inject = SimDuration::from_secs_f64(80_000.0 / net.bandwidth_bps);
+        let hops = m.topology().compute_hops(3, 5);
+        assert_eq!(hops, 3, "(0,3) to (1,1) on the 4-column mesh");
+        let expected = SimTime::ZERO + inject + net.base_latency + net.per_hop_latency * 3;
+        assert_eq!(delivered, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 56 compute nodes")]
+    fn a_world_on_a_missing_node_panics() {
+        let sim = Sim::new();
+        let m = Machine::new(sim.handle(), presets::paragon_small());
+        let _ = World::on_nodes(m, vec![0, 56]);
     }
 
     #[test]

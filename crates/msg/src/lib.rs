@@ -17,8 +17,6 @@
 pub mod codec;
 pub mod collective;
 pub mod comm;
-pub mod shardlink;
 pub mod tree;
 
 pub use comm::{Comm, MatchSrc, Payload, World};
-pub use shardlink::{ShardLink, ShardSignal};

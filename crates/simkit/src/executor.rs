@@ -382,48 +382,6 @@ impl Sim {
         }
         core.now.get()
     }
-    /// Run until the next pending event is at or after `horizon` (or no
-    /// event remains), and return that next event's time.
-    ///
-    /// Everything strictly before `horizon` executes exactly as [`Sim::run`]
-    /// would have executed it: the ready queue drains to quiescence and
-    /// same-instant timer batches pop in `(time, seq)` order, so a sequence
-    /// of `run_until` calls with increasing horizons produces the same
-    /// schedule — and the same [`Sim::schedule_fingerprint`] — as one
-    /// uninterrupted `run`. This is the primitive the sharded
-    /// conservative-lookahead engine ([`crate::shard`]) uses to advance each
-    /// shard through one synchronization window at a time.
-    ///
-    /// Returns `None` when the simulation is quiescent (no runnable task
-    /// and no pending timer), `Some(t)` with `t >= horizon` otherwise.
-    pub fn run_until(&mut self, horizon: SimTime) -> Option<SimTime> {
-        let core = &self.handle.core;
-        loop {
-            drain_ready(core);
-            let mut batch = core.timer_batch.borrow_mut();
-            {
-                let mut timers = core.timers.borrow_mut();
-                match timers.peek() {
-                    None => return None,
-                    Some((t, _)) if t >= horizon => return Some(t),
-                    Some(_) => {}
-                }
-                let (time, seq, waker) = timers.pop().expect("peeked entry");
-                debug_assert!(time >= core.now.get());
-                core.now.set(time);
-                let instant = time;
-                batch.push((seq, waker));
-                while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    let (_, seq, waker) = timers.pop().expect("peeked entry");
-                    batch.push((seq, waker));
-                }
-            }
-            for (seq, waker) in batch.drain(..) {
-                fire(core, seq, waker);
-            }
-        }
-    }
-
     /// Run a single root future to completion and return its output along
     /// with the final virtual time. Panics if the future deadlocks (cannot
     /// complete before the event queue empties).
@@ -453,6 +411,18 @@ impl Sim {
     /// oracle for scheduler changes.
     pub fn schedule_fingerprint(&self) -> u64 {
         self.handle.core.fingerprint.get()
+    }
+}
+
+/// Tasks still pending when the simulation is dropped are abandoned
+/// here. A pending task may hold a [`SimHandle`] (a daemon holding the
+/// machine does), which keeps the core, and with it the slab that owns
+/// the task, alive: a reference cycle that only taking the slab out
+/// breaks.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        let slab = std::mem::take(&mut *self.handle.core.tasks.borrow_mut());
+        drop(slab);
     }
 }
 
@@ -661,18 +631,6 @@ impl Future for Sleep {
     }
 }
 
-/// Fold a sequence of per-shard schedule fingerprints into one combined
-/// fingerprint, using the same FNV-1a fold the per-sim fingerprint uses.
-/// The fold is order-sensitive; callers pass parts in shard-index order so
-/// the combined value is independent of host-thread interleaving.
-pub fn combine_fingerprints<I: IntoIterator<Item = u64>>(parts: I) -> u64 {
-    let mut acc = FNV_OFFSET;
-    for p in parts {
-        acc = fnv_fold(acc, p);
-    }
-    acc
-}
-
 /// Await `fut` with a virtual-time deadline: `Some(output)` if it
 /// completes within `dur`, `None` otherwise. The future is spawned, so on
 /// timeout it keeps running detached (like an abandoned I/O request);
@@ -860,6 +818,34 @@ mod tests {
         assert_eq!(end, SimTime::ZERO);
         assert!(!jh.is_finished());
         drop(tx);
+    }
+
+    #[test]
+    fn dropping_the_sim_drops_tasks_that_hold_its_handle() {
+        // A task parked forever that holds a handle into its own
+        // simulation (as a daemon holding the machine does) must still
+        // be dropped with the simulation, not leaked through the cycle
+        // handle → core → slab → task.
+        struct Guard(Rc<Cell<bool>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let dropped = Rc::new(Cell::new(false));
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let guard = Guard(Rc::clone(&dropped));
+        let (_tx, rx) = crate::sync::channel::<u32>();
+        sim.handle().spawn_detached(async move {
+            let _guard = guard;
+            let _h = h;
+            let _ = rx.recv().await;
+        });
+        sim.run();
+        assert!(!dropped.get(), "the task is parked, not finished");
+        drop(sim);
+        assert!(dropped.get(), "the parked task leaked with its simulation");
     }
 
     #[test]

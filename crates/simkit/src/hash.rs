@@ -3,11 +3,11 @@
 //! `std::collections::HashMap`'s default SipHash is keyed by a per-process
 //! random seed: hashes differ between runs, which makes iteration order
 //! nondeterministic *and* costs ~1–2 ns per word more than necessary. Maps
-//! on simulation hot paths (block cache index, open-file table, cross-shard
-//! epoch counters) use [`FxHashMap`] instead: the rustc-style "Fx" hash — a
-//! word-at-a-time multiply-rotate — which is seedless, so the same program
-//! hashes the same keys to the same buckets in every run, and several times
-//! cheaper per lookup on the short fixed-size keys these maps use.
+//! on simulation hot paths (block cache index, open-file table) use
+//! [`FxHashMap`] instead: the rustc-style "Fx" hash — a word-at-a-time
+//! multiply-rotate — which is seedless, so the same program hashes the
+//! same keys to the same buckets in every run, and several times cheaper
+//! per lookup on the short fixed-size keys these maps use.
 //!
 //! ## Determinism discipline
 //!

@@ -16,13 +16,9 @@
 //!   queue (per-server next-free instants), so a queued service costs one
 //!   timer event, and fan-out bookings ([`resource::Resource::reserve_at`])
 //!   cost none at all until the caller sleeps to the max completion.
-//! - **Single-threaded core, sharded parallelism on top.** One
-//!   [`executor::Sim`] is `!Send` and never migrates; sweeps over machine
-//!   configurations parallelize across whole `Sim` instances on the host.
-//!   For a *single* large simulation, [`shard::run_sharded`] runs one
-//!   `Sim` per model shard on its own host thread under a conservative
-//!   lookahead window protocol — virtual times stay bit-identical at any
-//!   worker count.
+//! - **Single-threaded core.** One [`executor::Sim`] is `!Send` and never
+//!   migrates; sweeps over machine configurations parallelize across
+//!   whole `Sim` instances on the host.
 //!
 //! ## Example
 //!
@@ -43,12 +39,10 @@
 //! assert_eq!(jh.try_take().unwrap(), SimTime::ZERO + SimDuration::from_millis(20));
 //! ```
 
-pub mod barrier;
 pub mod executor;
 pub mod hash;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod sync;
 pub mod time;
 pub mod timerheap;
@@ -59,7 +53,6 @@ pub mod prelude {
     pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::resource::{Resource, ResourceStats};
     pub use crate::rng::SimRng;
-    pub use crate::shard::{Envelope, Outbox, SendPromise, ShardCtx, ShardRuntime, ShardedReport};
     pub use crate::sync::{channel, Barrier, Event, Receiver, Semaphore, Sender, Turnstile};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -146,18 +146,23 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+/// Message of the panic raised when duration arithmetic would leave
+/// `u64` nanoseconds: a total that wrapped would silently understate
+/// time, in release builds as well as debug ones.
+const OVERFLOW: &str = "virtual time overflow";
+
 impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.checked_add(rhs.0).expect(OVERFLOW))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -180,7 +185,7 @@ impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.checked_mul(rhs).expect(OVERFLOW))
     }
 }
 
@@ -194,7 +199,7 @@ impl Div<u64> for SimDuration {
 
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
-        SimDuration(iter.map(|d| d.0).sum())
+        iter.fold(SimDuration::ZERO, |acc, d| acc + d)
     }
 }
 
@@ -283,5 +288,40 @@ mod tests {
         assert_eq!(total, SimDuration::from_secs(6));
         assert_eq!(total / 2, SimDuration::from_secs(3));
         assert_eq!(SimDuration::from_secs(2) * 3, SimDuration::from_secs(6));
+    }
+
+    const NEAR_MAX: SimDuration = SimDuration(u64::MAX - 1);
+
+    #[test]
+    #[should_panic(expected = "virtual time overflow")]
+    fn add_panics_on_overflow() {
+        let _ = NEAR_MAX + SimDuration(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time overflow")]
+    fn add_assign_panics_on_overflow() {
+        let mut d = NEAR_MAX;
+        d += SimDuration(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time overflow")]
+    fn mul_panics_on_overflow() {
+        let _ = SimDuration::from_secs(1) * u64::MAX;
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time overflow")]
+    fn sum_panics_on_overflow() {
+        let _: SimDuration = [NEAR_MAX, SimDuration(1), SimDuration(1)].into_iter().sum();
+    }
+
+    #[test]
+    fn arithmetic_up_to_the_limit_is_exact() {
+        assert_eq!(NEAR_MAX + SimDuration(1), SimDuration(u64::MAX));
+        let total: SimDuration = [NEAR_MAX, SimDuration(1)].into_iter().sum();
+        assert_eq!(total, SimDuration(u64::MAX));
+        assert_eq!(SimDuration(u64::MAX / 2) * 2, SimDuration(u64::MAX - 1));
     }
 }

@@ -46,7 +46,7 @@ impl CacheSnapshot {
     }
 
     /// Fold another snapshot into this one (field-wise sum), e.g. to
-    /// combine the per-shard caches of a sharded run.
+    /// total several runs.
     pub fn merge(&mut self, other: &CacheSnapshot) {
         self.hits += other.hits;
         self.misses += other.misses;

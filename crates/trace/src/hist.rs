@@ -62,14 +62,6 @@ impl SizeHistogram {
         self.counts[Self::bucket_of(bytes)]
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &SizeHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total_bytes += other.total_bytes;
-    }
-
     /// The median request size's bucket upper bound (0 if empty).
     pub fn median_bucket_bound(&self) -> u64 {
         let total = self.total_count();
@@ -302,13 +294,6 @@ impl LatencyHistogram {
         out
     }
 
-    /// Resident bytes of one histogram instance (the fixed bucket table
-    /// plus the scalars) — what the sharded engines charge to their
-    /// per-shard memory accounting.
-    pub fn footprint_bytes() -> u64 {
-        (LAT_BUCKETS * std::mem::size_of::<u64>() + std::mem::size_of::<LatencyHistogram>()) as u64
-    }
-
     /// Median latency in nanoseconds.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
@@ -485,7 +470,6 @@ mod tests {
         }
         assert!(h.quantiles(&[]).is_empty());
         assert_eq!(LatencyHistogram::new().quantiles(&[0.5, 0.99]), vec![0, 0]);
-        assert!(LatencyHistogram::footprint_bytes() > (LAT_BUCKETS as u64) * 8);
     }
 
     #[test]

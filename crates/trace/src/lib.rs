@@ -25,7 +25,7 @@ pub mod report;
 pub use cache::{CacheCounters, CacheSnapshot};
 pub use hist::{LatencyHistogram, SizeHistogram};
 pub use listio::{ListIoCounters, ListIoSnapshot};
-pub use mem::{MemCounters, MemSnapshot};
+pub use mem::MemSnapshot;
 pub use queue::{QueueCounters, QueueSnapshot};
 
 use std::cell::RefCell;
@@ -114,7 +114,6 @@ pub struct TraceCollector {
     cache: cache::CacheCounters,
     listio: listio::ListIoCounters,
     queue: queue::QueueCounters,
-    mem: mem::MemCounters,
 }
 
 impl TraceCollector {
@@ -240,19 +239,12 @@ impl TraceCollector {
         &self.queue
     }
 
-    /// Per-shard simulation-memory counters fed by the sharded workload
-    /// engines. Shared across clones like the op aggregation.
-    pub fn mem(&self) -> &mem::MemCounters {
-        &self.mem
-    }
-
     /// Reset all aggregation (e.g. to exclude a warm-up phase).
     pub fn reset(&self) {
         *self.inner.borrow_mut() = CollectorInner::default();
         self.cache.reset();
         self.listio.reset();
         self.queue.reset();
-        self.mem.reset();
     }
 }
 
@@ -273,8 +265,7 @@ pub struct BalanceStats {
 }
 
 impl BalanceStats {
-    /// Balance statistics over per-rank cumulative I/O times (e.g. the
-    /// concatenated per-shard times of a sharded run).
+    /// Balance statistics over per-rank cumulative I/O times.
     pub fn from_times(times: &[SimDuration]) -> BalanceStats {
         if times.is_empty() {
             return BalanceStats::default();
@@ -327,19 +318,6 @@ pub struct IoSummary {
 }
 
 impl IoSummary {
-    /// Fold another summary into this one row-wise. Both summaries must
-    /// carry the same kinds in the same (paper) order, which every
-    /// [`TraceCollector::summary`] does.
-    pub fn merge(&mut self, other: &IoSummary) {
-        assert_eq!(self.rows.len(), other.rows.len(), "summary shapes differ");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            assert_eq!(a.kind, b.kind, "summary row order differs");
-            a.count += b.count;
-            a.time += b.time;
-            a.bytes += b.bytes;
-        }
-    }
-
     /// Total across all kinds.
     pub fn total(&self) -> SummaryRow {
         SummaryRow {
@@ -515,17 +493,6 @@ mod tests {
         assert_eq!(tc.cache().snapshot().misses, 1);
         tc.reset();
         assert!(tc.cache().snapshot().is_empty());
-    }
-
-    #[test]
-    fn mem_counters_ride_along_and_reset() {
-        let tc = TraceCollector::new();
-        tc.clone().mem().alloc(4096);
-        tc.mem().free(1024);
-        assert_eq!(tc.mem().snapshot().peak, 4096);
-        assert_eq!(tc.mem().snapshot().current, 3072);
-        tc.reset();
-        assert!(tc.mem().snapshot().is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl ListIoSnapshot {
     }
 
     /// Fold another snapshot into this one (field-wise sum), e.g. to
-    /// combine the per-shard counters of a sharded run.
+    /// total several runs.
     pub fn merge(&mut self, other: &ListIoSnapshot) {
         self.requests += other.requests;
         self.fragments += other.fragments;

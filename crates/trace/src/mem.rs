@@ -1,14 +1,9 @@
-//! Per-shard simulation-memory counters: current and peak bytes.
+//! Simulation-memory counters of an engine partition: current and peak
+//! bytes.
 //!
-//! The sharded engines account the host memory their replay/synthesis
-//! structures pin per shard (op streams, pending-event tables, latency
-//! windows) through the shared [`crate::TraceCollector`]. The point of
-//! the accounting is the scaling story: a shard's peak must track its
-//! *ranks per shard*, not the total rank count, or a 10k-rank run would
-//! need 10k ranks' worth of state on every worker.
-
-use std::cell::Cell;
-use std::rc::Rc;
+//! The simulator runs every workload as one simulation, so nothing is
+//! partitioned and these counters always read zero. The type stays so
+//! that readers of [`crate::MemSnapshot`] fields keep building.
 
 /// A point-in-time copy of the memory counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -17,113 +12,4 @@ pub struct MemSnapshot {
     pub current: u64,
     /// High-water mark of `current`.
     pub peak: u64,
-}
-
-impl MemSnapshot {
-    /// Whether any memory was ever accounted.
-    pub fn is_empty(&self) -> bool {
-        *self == MemSnapshot::default()
-    }
-
-    /// Fold another shard's snapshot into this one: currents add (total
-    /// resident accounting), peaks take the max (the worst single shard —
-    /// the number that must stay flat as total ranks grow).
-    pub fn merge(&mut self, other: &MemSnapshot) {
-        self.current += other.current;
-        self.peak = self.peak.max(other.peak);
-    }
-
-    /// One-line rendering for run reports.
-    pub fn render_line(&self) -> String {
-        format!(
-            "shard_mem: peak={:.1}KiB current={:.1}KiB",
-            self.peak as f64 / 1024.0,
-            self.current as f64 / 1024.0,
-        )
-    }
-}
-
-/// Shared, cloneable memory-counter cell. Cloning shares the underlying
-/// counters (the same convention as [`crate::TraceCollector`]).
-#[derive(Clone, Default)]
-pub struct MemCounters {
-    inner: Rc<Cell<MemSnapshot>>,
-}
-
-impl MemCounters {
-    /// New zeroed counters.
-    pub fn new() -> MemCounters {
-        MemCounters::default()
-    }
-
-    /// Account `bytes` of newly pinned state; pushes the peak up.
-    pub fn alloc(&self, bytes: u64) {
-        let mut s = self.inner.get();
-        s.current += bytes;
-        s.peak = s.peak.max(s.current);
-        self.inner.set(s);
-    }
-
-    /// Release `bytes` of accounted state (saturating: releasing more
-    /// than was accounted clamps to zero rather than wrapping).
-    pub fn free(&self, bytes: u64) {
-        let mut s = self.inner.get();
-        s.current = s.current.saturating_sub(bytes);
-        self.inner.set(s);
-    }
-
-    /// Current counter values.
-    pub fn snapshot(&self) -> MemSnapshot {
-        self.inner.get()
-    }
-
-    /// Zero all counters (including the peak).
-    pub fn reset(&self) {
-        self.inner.set(MemSnapshot::default());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn peak_tracks_the_high_water_mark() {
-        let m = MemCounters::new();
-        let m2 = m.clone();
-        m.alloc(100);
-        m2.alloc(50);
-        m.free(120);
-        m.alloc(10);
-        let s = m.snapshot();
-        assert_eq!(s.current, 40);
-        assert_eq!(s.peak, 150);
-        assert!(!s.is_empty());
-        m.reset();
-        assert!(m2.snapshot().is_empty());
-    }
-
-    #[test]
-    fn free_saturates_instead_of_wrapping() {
-        let m = MemCounters::new();
-        m.alloc(10);
-        m.free(1000);
-        assert_eq!(m.snapshot().current, 0);
-        assert_eq!(m.snapshot().peak, 10);
-    }
-
-    #[test]
-    fn merge_sums_current_and_maxes_peak() {
-        let mut a = MemSnapshot {
-            current: 10,
-            peak: 90,
-        };
-        a.merge(&MemSnapshot {
-            current: 30,
-            peak: 60,
-        });
-        assert_eq!(a.current, 40);
-        assert_eq!(a.peak, 90);
-        assert!(a.render_line().contains("shard_mem: peak=0.1KiB"));
-    }
 }

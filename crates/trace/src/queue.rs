@@ -77,7 +77,7 @@ impl QueueSnapshot {
     }
 
     /// Fold another snapshot into this one (field-wise sum, the depth
-    /// histogram element-wise), e.g. to combine per-shard queues.
+    /// histogram element-wise), e.g. to total several runs.
     pub fn merge(&mut self, other: &QueueSnapshot) {
         self.bookings += other.bookings;
         self.reorders += other.reorders;

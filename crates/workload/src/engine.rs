@@ -12,11 +12,12 @@
 //!   of at most `batch` extents ([`IoRequest::from_extents`]).
 //! - [`ReplayMode::TwoPhase`] — data operations are grouped into
 //!   two-phase collective windows of `window` operations per rank
-//!   ([`write_collective`] / [`read_collective`]); all ranks execute the
-//!   same number of windows per file. In this mode every rank opens
-//!   every file, and explicit seeks and dependency *waits* are skipped —
-//!   the collective windows already impose a global order (labels are
-//!   still signalled so mixed traces stay well-defined).
+//!   ([`write_collective`] / [`read_collective`]). As in MPI-IO, a
+//!   file's collectives run over the communicator that opened it: the
+//!   ranks whose trace touches the file, each of which executes the same
+//!   number of windows on it. Explicit seeks and dependency *waits* are
+//!   skipped — the collective windows already impose a global order
+//!   (labels are still signalled so mixed traces stay well-defined).
 //!
 //! # Measurement
 //!
@@ -33,18 +34,16 @@ use std::pin::Pin;
 use std::rc::Rc;
 
 use iosim_core::two_phase::{read_collective, write_collective, Piece, Span};
-use iosim_machine::shard::ShardSpec;
 use iosim_machine::{Interface, Machine, MachineConfig};
-use iosim_msg::{ShardLink, ShardSignal, World};
+use iosim_msg::{Comm, World};
 use iosim_pfs::{CreateOptions, FileHandle, FileSystem, IoRequest};
 use iosim_simkit::executor::{join_all, Sim};
 use iosim_simkit::hash::FxHashMap;
-use iosim_simkit::shard::SendPromise;
 use iosim_simkit::sync::{channel, Event};
 use iosim_simkit::time::{SimDuration, SimTime};
 use iosim_trace::{
-    BalanceStats, CacheSnapshot, IoSummary, LatencyHistogram, ListIoSnapshot, MemSnapshot,
-    QueueSnapshot, SizeHistogram, TraceCollector,
+    BalanceStats, CacheSnapshot, IoSummary, LatencyHistogram, ListIoSnapshot, QueueSnapshot,
+    SizeHistogram, TraceCollector,
 };
 
 use crate::opstream::{OpStream, TraceKind, WorkKind};
@@ -116,10 +115,10 @@ impl ReplaySpec {
     }
 }
 
-/// Machine-level measurements of one engine run. Field-for-field the
-/// same data `iosim_apps::common::RunResult` carries — the `iosim-apps`
-/// wrapper converts between the two — but defined here so the workload
-/// crate does not depend on the applications crate.
+/// Machine-level measurements of one engine run: the data
+/// `iosim_apps::common::RunResult` carries — the `iosim-apps` wrapper
+/// converts between the two — but defined here so the workload crate
+/// does not depend on the applications crate.
 #[derive(Clone, Debug)]
 pub struct RunStats {
     /// Compute nodes used.
@@ -154,15 +153,6 @@ pub struct RunStats {
     pub sim_events: u64,
     /// Order-sensitive hash of the task schedule.
     pub sched_fingerprint: u64,
-    /// Synchronization rounds the sharded engine executed (zero for
-    /// monolithic runs and degenerate shard plans). The adaptive window
-    /// lowers this without touching any schedule.
-    pub sync_rounds: u64,
-    /// Per-shard simulation-memory accounting: `current` sums the
-    /// shards' resident bytes, `peak` is the worst single shard — the
-    /// number that must scale with ranks-per-shard, not total ranks.
-    /// Zero for monolithic runs (nothing is partitioned).
-    pub shard_mem: MemSnapshot,
     /// Host wall-clock time the simulation took to run.
     pub host_elapsed: std::time::Duration,
 }
@@ -274,14 +264,14 @@ pub fn saturation_knee(points: &[SweepPoint]) -> Option<usize> {
 
 type RankFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Build machine + file system + world, run `program` on every rank,
-/// and collect [`RunStats`] (the workload crate's copy of the
-/// `run_ranks` harness; kept independent so `iosim-apps` can wrap this
-/// crate instead of the other way round).
-fn run_world(
+/// Build machine + file system + world, run the program `make` builds
+/// for the machine on every rank, and collect [`RunStats`] (the workload
+/// crate's copy of the `run_ranks` harness; kept independent so
+/// `iosim-apps` can wrap this crate instead of the other way round).
+fn run_world<P: Fn(WorldCtx) -> RankFuture>(
     cfg: MachineConfig,
     procs: usize,
-    program: impl Fn(WorldCtx) -> RankFuture,
+    make: impl FnOnce(&Rc<Machine>) -> P,
 ) -> RunStats {
     let mut sim = Sim::new();
     let trace = TraceCollector::new();
@@ -289,6 +279,7 @@ fn run_world(
     let io_nodes = machine.io_nodes();
     let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
     let world = World::new(Rc::clone(&machine), procs);
+    let program = make(&machine);
     let h = sim.handle();
     let futs: Vec<RankFuture> = world
         .comms()
@@ -332,8 +323,6 @@ fn run_world(
         queue: trace.queue().snapshot(),
         sim_events: sim.events_processed(),
         sched_fingerprint: sim.schedule_fingerprint(),
-        sync_rounds: 0,
-        shard_mem: trace.mem().snapshot(),
         host_elapsed,
     }
 }
@@ -342,7 +331,7 @@ fn run_world(
 /// through the file system).
 struct WorldCtx {
     rank: usize,
-    comm: iosim_msg::Comm,
+    comm: Comm,
     fs: Rc<FileSystem>,
 }
 
@@ -352,84 +341,68 @@ struct WorldCtx {
 struct ReplayShared {
     stream: OpStream,
     extents: Vec<u64>,
-    /// One completion event per op slot that something waits on. In a
-    /// sharded run the tail slots (past the local ops) stand in for
-    /// foreign dependency targets and are set by incoming dep tokens;
-    /// shared with the shard link's dep handler, hence the `Rc`.
-    events: Rc<Vec<Option<Event<()>>>>,
-    /// Per-rank op indices in program order, indexed by `rank - rank_base`.
+    /// One completion event per op that something waits on.
+    events: Vec<Option<Event<()>>>,
+    /// Per-rank op indices in program order.
     per_rank: Vec<Vec<usize>>,
-    /// First global rank of this shard (zero for monolithic runs).
-    rank_base: usize,
     /// Per-file collective window counts (two-phase mode only).
     windows: Vec<usize>,
     latency: RefCell<LatencyHistogram>,
     iface: Interface,
     mode: ReplayMode,
-    /// Cross-shard completion signalling (`None` for monolithic runs).
-    bridge: Option<DepBridge>,
-}
-
-/// Cross-shard dependency bridge: everything a sharded replay shard
-/// needs to notify foreign waiters that a labelled op completed. The
-/// tokens ride the shard link's mailboxes under the same
-/// `(deliver_at, src, seq)` total order as barrier arrivals, so the
-/// receiving shard's wakeups are deterministic at every worker count.
-struct DepBridge {
-    link: ShardLink,
-    promise: SendPromise,
-    /// Per local op: foreign shards to notify when it completes.
-    tokens: Vec<Vec<usize>>,
-    /// Per local op: its index in the source stream (the token id).
-    global: Vec<u64>,
-    /// Local ops with foreign waiters not yet signalled. Dep tokens are
-    /// the only cross-shard traffic a replay shard ever sends (barriers
-    /// are per-shard), so when this hits zero the shard promises the
-    /// engine it will never send again and the adaptive window opens up.
-    pending: Cell<usize>,
 }
 
 impl ReplayShared {
-    /// Mark op `i` complete: wake local waiters and, in a sharded run,
-    /// token every foreign shard that waits on it.
+    /// Mark op `i` complete and wake its waiters.
     fn signal(&self, i: usize) {
         if let Some(ev) = &self.events[i] {
             ev.set(());
         }
-        if let Some(b) = &self.bridge {
-            if !b.tokens[i].is_empty() {
-                for &dst in &b.tokens[i] {
-                    b.link.send_dep_token(dst, b.global[i]);
-                }
-                b.pending.set(b.pending.get() - 1);
-                if b.pending.get() == 0 {
-                    b.promise.promise_never_sends();
-                }
-            }
-        }
     }
 }
 
-/// Two-phase window counts per file: within one comm world all ranks
-/// must execute the same number of collective windows.
-fn window_counts(stream: &OpStream, per_rank: &[Vec<usize>], window: usize) -> Vec<usize> {
-    (0..stream.files.len())
-        .map(|f| {
-            per_rank
-                .iter()
-                .map(|mine| {
-                    mine.iter()
-                        .filter(|&&i| {
-                            let op = &stream.ops[i];
-                            op.file == f && data_parts(&op.kind).is_some()
-                        })
-                        .count()
-                        .div_ceil(window)
-                })
-                .max()
-                .unwrap_or(0)
-        })
-        .collect()
+/// How a two-phase replay lays its collectives over a trace's files.
+#[derive(Default)]
+struct FilePlan {
+    /// The ranks that open each file, ascending: the file's communicator.
+    openers: Vec<Vec<usize>>,
+    /// The files each rank opens, ascending.
+    files_of: Vec<Vec<usize>>,
+    /// Collective windows per file: every opener executes the number the
+    /// busiest opener needs.
+    windows: Vec<usize>,
+}
+
+/// Build the [`FilePlan`] of a trace for windows of `window` data
+/// operations per rank, in one pass over the operations. A rank opens
+/// every file its trace touches.
+fn file_plan(stream: &OpStream, per_rank: &[Vec<usize>], window: usize) -> FilePlan {
+    let files = stream.files.len();
+    let mut plan = FilePlan {
+        openers: vec![Vec::new(); files],
+        files_of: Vec::with_capacity(per_rank.len()),
+        windows: vec![0; files],
+    };
+    // This rank's data operations per file; zeroed again after each rank.
+    let mut data_ops = vec![0usize; files];
+    for (rank, mine) in per_rank.iter().enumerate() {
+        let mut touched: Vec<usize> = mine.iter().map(|&i| stream.ops[i].file).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for &i in mine {
+            let op = &stream.ops[i];
+            if data_parts(&op.kind).is_some() {
+                data_ops[op.file] += 1;
+            }
+        }
+        for &f in &touched {
+            plan.openers[f].push(rank);
+            plan.windows[f] = plan.windows[f].max(data_ops[f].div_ceil(window));
+            data_ops[f] = 0;
+        }
+        plan.files_of.push(touched);
+    }
+    plan
 }
 
 /// Replay `stream` under `spec` and return the measurements.
@@ -457,32 +430,58 @@ pub fn replay(stream: &OpStream, spec: &ReplaySpec) -> ReplayReport {
     for (i, op) in stream.ops.iter().enumerate() {
         per_rank[op.rank].push(i);
     }
-    let windows = match spec.mode {
-        ReplayMode::TwoPhase { window } => window_counts(stream, &per_rank, window),
-        _ => Vec::new(),
+    let FilePlan {
+        openers,
+        files_of,
+        windows,
+    } = match spec.mode {
+        ReplayMode::TwoPhase { window } => file_plan(stream, &per_rank, window),
+        _ => FilePlan::default(),
     };
     let shared = Rc::new(ReplayShared {
         stream: stream.clone(),
         extents: stream.extents(),
-        events: Rc::new(events),
+        events,
         per_rank,
-        rank_base: 0,
         windows,
         latency: RefCell::new(LatencyHistogram::new()),
         iface: spec.iface,
         mode: spec.mode,
-        bridge: None,
     });
     let sh = Rc::clone(&shared);
-    let stats = run_world(spec.machine.clone(), n.max(1), move |ctx| {
-        let sh = Rc::clone(&sh);
-        Box::pin(async move {
-            match sh.mode {
-                ReplayMode::TwoPhase { window } => replay_two_phase(ctx, sh, window).await,
-                ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
-                ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
-            }
-        })
+    let stats = run_world(spec.machine.clone(), n.max(1), move |machine| {
+        let file_worlds: Vec<Option<World>> = openers
+            .iter()
+            .map(|ranks| {
+                (!ranks.is_empty()).then(|| World::on_nodes(Rc::clone(machine), ranks.clone()))
+            })
+            .collect();
+        move |ctx: WorldCtx| -> RankFuture {
+            let sh = Rc::clone(&sh);
+            // This rank's endpoint on the communicator of each file it
+            // opens.
+            let file_comms: Vec<(usize, Comm)> = files_of
+                .get(ctx.rank)
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .map(|&f| {
+                    let local = openers[f]
+                        .binary_search(&ctx.rank)
+                        .expect("rank opens the file");
+                    let world = file_worlds[f].as_ref().expect("file has openers");
+                    (f, world.comm(local))
+                })
+                .collect();
+            Box::pin(async move {
+                match sh.mode {
+                    ReplayMode::TwoPhase { window } => {
+                        replay_two_phase(ctx, sh, file_comms, window).await
+                    }
+                    ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
+                    ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
+                }
+            })
+        }
     });
     let latency = shared.latency.borrow().clone();
     ReplayReport {
@@ -531,11 +530,7 @@ type PendingRun = (usize, bool, Vec<(u64, u64)>, Vec<usize>);
 /// `batch > 1`, coalesce runs of same-file same-direction data ops into
 /// vectored requests.
 async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
-    let mine = sh
-        .per_rank
-        .get(ctx.rank - sh.rank_base)
-        .cloned()
-        .unwrap_or_default();
+    let mine = sh.per_rank.get(ctx.rank).cloned().unwrap_or_default();
     let h = ctx.fs.machine().handle().clone();
     let mut handles: FxHashMap<usize, FileHandle> = FxHashMap::default();
     let mut pending: Option<PendingRun> = None;
@@ -626,26 +621,35 @@ async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
     }
 }
 
-/// Two-phase collective replay: every rank opens every file, then the
-/// ranks walk each file's windows in lockstep.
-async fn replay_two_phase(ctx: WorldCtx, sh: Rc<ReplayShared>, window: usize) {
+/// Two-phase collective replay: a rank opens the files its trace
+/// touches, then walks each file's windows in lockstep with the file's
+/// other openers, on the file's communicator (`file_comms`, ascending
+/// by file, so every communicator sees its collectives in one order).
+async fn replay_two_phase(
+    ctx: WorldCtx,
+    sh: Rc<ReplayShared>,
+    file_comms: Vec<(usize, Comm)>,
+    window: usize,
+) {
     let h = ctx.fs.machine().handle().clone();
-    let mut fhs: Vec<FileHandle> = Vec::with_capacity(sh.stream.files.len());
-    for (f, name) in sh.stream.files.iter().enumerate() {
+    let mut fhs: Vec<FileHandle> = Vec::with_capacity(file_comms.len());
+    for &(f, _) in &file_comms {
         let fh = ctx
             .fs
-            .open(ctx.rank, sh.iface, name, Some(CreateOptions::default()))
+            .open(
+                ctx.rank,
+                sh.iface,
+                &sh.stream.files[f],
+                Some(CreateOptions::default()),
+            )
             .await
             .expect("open replay file");
         fh.preallocate(sh.extents[f]);
         fhs.push(fh);
     }
-    let mine = sh
-        .per_rank
-        .get(ctx.rank - sh.rank_base)
-        .cloned()
-        .unwrap_or_default();
-    for (f, fh) in fhs.iter().enumerate() {
+    let mine = sh.per_rank.get(ctx.rank).cloned().unwrap_or_default();
+    for (fh, (f, comm)) in fhs.iter().zip(&file_comms) {
+        let f = *f;
         let ops: Vec<usize> = mine
             .iter()
             .copied()
@@ -670,10 +674,10 @@ async fn replay_two_phase(ctx: WorldCtx, sh: Rc<ReplayShared>, window: usize) {
                 })
                 .collect();
             let t0 = h.now();
-            write_collective(&ctx.comm, fh, writes)
+            write_collective(comm, fh, writes)
                 .await
                 .expect("collective writes");
-            read_collective(&ctx.comm, fh, reads)
+            read_collective(comm, fh, reads)
                 .await
                 .expect("collective reads");
             let elapsed = h.now() - t0;
@@ -689,438 +693,11 @@ async fn replay_two_phase(ctx: WorldCtx, sh: Rc<ReplayShared>, window: usize) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded replay
-
-/// Machine-level measurements one shard of a sharded run reports back
-/// (the per-shard half of [`RunStats`], merged by [`merge_shard_outs`]).
-struct ShardIoOut {
-    per_rank_io: Vec<SimDuration>,
-    cum_io_time: SimDuration,
-    summary: IoSummary,
-    io_bytes: u64,
-    io_ops: u64,
-    read_sizes: SizeHistogram,
-    write_sizes: SizeHistogram,
-    cache: CacheSnapshot,
-    listio: ListIoSnapshot,
-    queue: QueueSnapshot,
-    latency: LatencyHistogram,
-    mem: MemSnapshot,
-}
-
-impl ShardIoOut {
-    /// Snapshot one shard's collector at the end of its run.
-    fn collect(trace: &TraceCollector, sspec: &ShardSpec, latency: LatencyHistogram) -> ShardIoOut {
-        // The collector indexes by global rank; keep this shard's slice
-        // for the cross-shard balance stats.
-        let mut times = trace.per_rank_io_times();
-        times.resize(sspec.rank_base + sspec.ranks, SimDuration::ZERO);
-        ShardIoOut {
-            per_rank_io: times[sspec.rank_base..].to_vec(),
-            cum_io_time: trace.cumulative_io_time(),
-            summary: trace.summary(),
-            io_bytes: trace.total_bytes(),
-            io_ops: trace.total_ops(),
-            read_sizes: trace.read_sizes(),
-            write_sizes: trace.write_sizes(),
-            cache: trace.cache().snapshot(),
-            listio: trace.listio().snapshot(),
-            queue: trace.queue().snapshot(),
-            latency,
-            mem: trace.mem().snapshot(),
-        }
-    }
-}
-
-/// Scalars of one sharded engine run, folded together with the
-/// per-shard outputs by [`merge_shard_outs`].
-struct ShardRunMeta {
-    ranks: usize,
-    io_nodes: usize,
-    end_time: SimTime,
-    events: u64,
-    fingerprint: u64,
-    rounds: u64,
-    host_elapsed: std::time::Duration,
-}
-
-/// Fold per-shard outputs (shard-index order, so every merge is
-/// deterministic) into [`RunStats`] plus the merged latency histogram.
-fn merge_shard_outs(meta: ShardRunMeta, outs: Vec<ShardIoOut>) -> (RunStats, LatencyHistogram) {
-    let mut rank_times: Vec<SimDuration> = Vec::with_capacity(meta.ranks);
-    let mut summary: Option<IoSummary> = None;
-    let mut cum_io_time = SimDuration::ZERO;
-    let mut io_bytes = 0u64;
-    let mut io_ops = 0u64;
-    let mut read_sizes = SizeHistogram::new();
-    let mut write_sizes = SizeHistogram::new();
-    let mut cache = CacheSnapshot::default();
-    let mut listio = ListIoSnapshot::default();
-    let mut queue = QueueSnapshot::default();
-    let mut latency = LatencyHistogram::new();
-    let mut shard_mem = MemSnapshot::default();
-    for out in outs {
-        rank_times.extend_from_slice(&out.per_rank_io);
-        match &mut summary {
-            Some(s) => s.merge(&out.summary),
-            None => summary = Some(out.summary),
-        }
-        cum_io_time += out.cum_io_time;
-        io_bytes += out.io_bytes;
-        io_ops += out.io_ops;
-        read_sizes.merge(&out.read_sizes);
-        write_sizes.merge(&out.write_sizes);
-        cache.merge(&out.cache);
-        listio.merge(&out.listio);
-        queue.merge(&out.queue);
-        latency.merge(&out.latency);
-        shard_mem.merge(&out.mem);
-    }
-    let io_time = rank_times
-        .iter()
-        .copied()
-        .fold(SimDuration::ZERO, SimDuration::max);
-    let stats = RunStats {
-        procs: meta.ranks,
-        io_nodes: meta.io_nodes,
-        exec_time: meta.end_time - SimTime::ZERO,
-        io_time,
-        cum_io_time,
-        summary: summary.expect("at least one shard"),
-        io_bytes,
-        io_ops,
-        read_sizes,
-        write_sizes,
-        balance: BalanceStats::from_times(&rank_times),
-        cache,
-        listio,
-        queue,
-        sim_events: meta.events,
-        sched_fingerprint: meta.fingerprint,
-        sync_rounds: meta.rounds,
-        shard_mem,
-        host_elapsed: meta.host_elapsed,
-    };
-    (stats, latency)
-}
-
-/// Host bytes one shard's replay structures pin, charged to its
-/// [`iosim_trace::MemCounters`]: the projected ops (labels and dep
-/// edges included), event slots, per-rank index lists, token tables,
-/// and the latency histogram. An estimate, not an allocator hook — the
-/// point is the scaling shape (per-shard state must track ranks *per
-/// shard*), not byte-exact accounting.
-fn replay_shard_footprint(
-    ops: &[crate::opstream::WorkOp],
-    event_slots: usize,
-    per_rank: &[Vec<usize>],
-    tokens: &[Vec<usize>],
-) -> u64 {
-    use std::mem::size_of;
-    let word = size_of::<usize>();
-    let op_bytes: usize = ops
-        .iter()
-        .map(|o| {
-            size_of::<crate::opstream::WorkOp>()
-                + o.label.as_ref().map_or(0, String::len)
-                + o.deps.len() * word
-        })
-        .sum();
-    let ev_bytes = event_slots * size_of::<Option<Event<()>>>();
-    let idx_bytes: usize = per_rank.iter().map(|v| v.len() * word).sum();
-    let tok_bytes: usize = tokens
-        .iter()
-        .map(|v| size_of::<Vec<usize>>() + v.len() * word)
-        .sum();
-    (op_bytes + ev_bytes + idx_bytes + tok_bytes) as u64 + LatencyHistogram::footprint_bytes()
-}
-
-/// Sharded variant of [`replay`]: partition the replayed ranks along the
-/// machine's topology ([`iosim_machine::shard::plan`] — exactly like the
-/// in-tree applications) and replay each shard's rank group, with its
-/// slice of the I/O nodes and its own file system, on its own executor,
-/// run by up to `workers` host threads.
-///
-/// Cross-rank dependency edges that cross a shard boundary become
-/// completion-notification *dep tokens* on the shard-link mailboxes:
-/// the owning shard tokens every waiting shard when the labelled op
-/// completes, and the waiting shard's local stand-in event fires when
-/// the token arrives (one conservative lookahead later — a pessimistic
-/// but deterministic bound on the notification latency). Dep tokens are
-/// the only cross-shard traffic, so a shard with no foreign waiters
-/// promises the engine it will never send ([`SendPromise`]) and the
-/// adaptive window runs it to completion in a handful of rounds.
-///
-/// The result is bit-identical for every `workers` value, but differs
-/// from [`replay`]'s monolithic schedule: each shard stripes files over
-/// its own I/O-node slice. Degenerate shard plans (single I/O node, one
-/// rank, zero lookahead) fall back to [`replay`] exactly.
-pub fn replay_threaded(stream: &OpStream, spec: &ReplaySpec, workers: usize) -> ReplayReport {
-    replay_threaded_inner(stream, spec, workers, true)
-}
-
-/// [`replay_threaded`] under the static window protocol: send promises
-/// are ignored, every round advances by one lookahead. Schedules and
-/// fingerprints are identical to the adaptive run — only
-/// [`RunStats::sync_rounds`] differs. This is the baseline the bench
-/// ladder measures the adaptive window against.
-pub fn replay_threaded_static(
-    stream: &OpStream,
-    spec: &ReplaySpec,
-    workers: usize,
-) -> ReplayReport {
-    replay_threaded_inner(stream, spec, workers, false)
-}
-
-fn replay_threaded_inner(
-    stream: &OpStream,
-    spec: &ReplaySpec,
-    workers: usize,
-    adaptive: bool,
-) -> ReplayReport {
-    use iosim_simkit::shard::{run_sharded, run_sharded_static, ShardCtx, ShardRuntime};
-
-    let host_t0 = std::time::Instant::now();
-    let workers = workers.max(1);
-    let n = stream.ranks();
-    assert!(
-        n <= spec.machine.compute_nodes,
-        "trace needs {n} ranks but the machine has {}",
-        spec.machine.compute_nodes
-    );
-    let plan = iosim_machine::shard::plan(&spec.machine, n);
-    if plan.is_degenerate() {
-        let mut rep = replay(stream, spec);
-        rep.stats.host_elapsed = host_t0.elapsed();
-        return rep;
-    }
-    let lookahead = plan.lookahead.max(iosim_machine::shard::LOOKAHEAD_FLOOR);
-    let mut shard_of_rank = vec![0usize; n];
-    for s in &plan.shards {
-        for r in s.rank_range() {
-            shard_of_rank[r] = s.index;
-        }
-    }
-    // Which shards wait on each dependency target (global op index).
-    let mut waiters: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for op in &stream.ops {
-        let ws = shard_of_rank[op.rank];
-        for &d in &op.deps {
-            let v = waiters.entry(d).or_default();
-            if !v.contains(&ws) {
-                v.push(ws);
-            }
-        }
-    }
-    let extents = stream.extents();
-    let iface = spec.iface;
-    let mode = spec.mode;
-    let cfg = &spec.machine;
-    let stream_ref = stream;
-    let waiters = &waiters;
-    let shard_of_rank = &shard_of_rank;
-    let extents_ref = &extents;
-    let builders: Vec<_> = plan
-        .shards
-        .iter()
-        .cloned()
-        .map(|sspec| {
-            move |ctx: ShardCtx<ShardSignal>| -> ShardRuntime<ShardSignal, ShardIoOut> {
-                let sim = Sim::new();
-                let trace = TraceCollector::new();
-                let sub_cfg = cfg
-                    .clone()
-                    .with_compute_nodes(sspec.ranks.max(1))
-                    .with_io_nodes(sspec.io_nodes.max(1));
-                let machine = Machine::new(sim.handle(), sub_cfg);
-                let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-                let world = World::new(Rc::clone(&machine), sspec.ranks);
-                let link = ShardLink::new(
-                    sim.handle(),
-                    ctx.index,
-                    ctx.shards,
-                    ctx.lookahead,
-                    ctx.outbox,
-                );
-
-                // Project the stream onto this shard: local ops keep
-                // their relative order; dependency edges are rewritten
-                // to local event slots, with foreign targets getting
-                // stand-in slots past the local ops.
-                let me = sspec.index;
-                let mut ops: Vec<crate::opstream::WorkOp> = Vec::new();
-                let mut global: Vec<u64> = Vec::new();
-                let mut slot_of: FxHashMap<usize, usize> = FxHashMap::default();
-                for (g, op) in stream_ref.ops.iter().enumerate() {
-                    if shard_of_rank[op.rank] == me {
-                        slot_of.insert(g, ops.len());
-                        global.push(g as u64);
-                        ops.push(op.clone());
-                    }
-                }
-                let local_n = ops.len();
-                let mut events: Vec<Option<Event<()>>> = vec![None; local_n];
-                for op in ops.iter_mut().take(local_n) {
-                    let deps = std::mem::take(&mut op.deps);
-                    op.deps = deps
-                        .into_iter()
-                        .map(|d| {
-                            let slot = match slot_of.get(&d) {
-                                Some(&s) => s,
-                                None => {
-                                    let s = events.len();
-                                    events.push(None);
-                                    slot_of.insert(d, s);
-                                    s
-                                }
-                            };
-                            if events[slot].is_none() {
-                                events[slot] = Some(Event::new());
-                            }
-                            slot
-                        })
-                        .collect();
-                }
-                let mut pending = 0usize;
-                let tokens: Vec<Vec<usize>> = global
-                    .iter()
-                    .map(|&g| {
-                        let mut dsts: Vec<usize> = waiters
-                            .get(&(g as usize))
-                            .map(|w| w.iter().copied().filter(|&s| s != me).collect())
-                            .unwrap_or_default();
-                        dsts.sort_unstable();
-                        if !dsts.is_empty() {
-                            pending += 1;
-                        }
-                        dsts
-                    })
-                    .collect();
-                let mut per_rank: Vec<Vec<usize>> = vec![Vec::new(); sspec.ranks];
-                for (k, op) in ops.iter().enumerate() {
-                    per_rank[op.rank - sspec.rank_base].push(k);
-                }
-                trace.mem().alloc(replay_shard_footprint(
-                    &ops,
-                    events.len(),
-                    &per_rank,
-                    &tokens,
-                ));
-                let events = Rc::new(events);
-                // Incoming dep tokens fire the stand-in event of the
-                // foreign target they announce.
-                let token_slots: FxHashMap<u64, usize> = slot_of
-                    .iter()
-                    .filter(|&(_, &s)| s >= local_n)
-                    .map(|(&g, &s)| (g as u64, s))
-                    .collect();
-                {
-                    let events = Rc::clone(&events);
-                    link.set_dep_handler(Box::new(move |g| {
-                        let slot = *token_slots.get(&g).expect("dep token for unknown op");
-                        events[slot].as_ref().expect("dep token event").set(());
-                    }));
-                }
-                if pending == 0 {
-                    // No foreign waiters: this shard never sends.
-                    ctx.promise.promise_never_sends();
-                }
-                let stream = OpStream {
-                    files: stream_ref.files.clone(),
-                    ops,
-                };
-                let windows = match mode {
-                    ReplayMode::TwoPhase { window } => window_counts(&stream, &per_rank, window),
-                    _ => Vec::new(),
-                };
-                let shared = Rc::new(ReplayShared {
-                    stream,
-                    extents: extents_ref.clone(),
-                    events,
-                    per_rank,
-                    rank_base: sspec.rank_base,
-                    windows,
-                    latency: RefCell::new(LatencyHistogram::new()),
-                    iface,
-                    mode,
-                    bridge: Some(DepBridge {
-                        link: link.clone(),
-                        promise: ctx.promise.clone(),
-                        tokens,
-                        global,
-                        pending: Cell::new(pending),
-                    }),
-                });
-                let futs: Vec<RankFuture> = world
-                    .comms()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(local, comm)| -> RankFuture {
-                        let sh = Rc::clone(&shared);
-                        let wctx = WorldCtx {
-                            rank: sspec.rank_base + local,
-                            comm,
-                            fs: Rc::clone(&fs),
-                        };
-                        Box::pin(async move {
-                            match sh.mode {
-                                ReplayMode::TwoPhase { window } => {
-                                    replay_two_phase(wctx, sh, window).await
-                                }
-                                ReplayMode::Direct => replay_serial(wctx, sh, 1).await,
-                                ReplayMode::ListIo { batch } => {
-                                    replay_serial(wctx, sh, batch).await
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                let n_futs = futs.len();
-                let h = sim.handle();
-                let jh = sim.spawn(async move {
-                    let done = join_all(&h, futs).await;
-                    done.len()
-                });
-                ShardRuntime {
-                    sim,
-                    deliver: Box::new(move |sig| link.deliver(sig)),
-                    finish: Box::new(move || {
-                        assert_eq!(
-                            jh.try_take().expect("replay shard deadlocked"),
-                            n_futs,
-                            "all ranks of shard {} must finish",
-                            sspec.index
-                        );
-                        ShardIoOut::collect(&trace, &sspec, shared.latency.borrow().clone())
-                    }),
-                }
-            }
-        })
-        .collect();
-    let report = if adaptive {
-        run_sharded(lookahead, workers, builders)
-    } else {
-        run_sharded_static(lookahead, workers, builders)
-    };
-    let (stats, latency) = merge_shard_outs(
-        ShardRunMeta {
-            ranks: n,
-            io_nodes: spec.machine.io_nodes,
-            end_time: report.end_time,
-            events: report.events,
-            fingerprint: report.fingerprint,
-            rounds: report.rounds,
-            host_elapsed: host_t0.elapsed(),
-        },
-        report.results,
-    );
-    ReplayReport {
-        stats,
-        latency,
-        data_ops: stream.data_ops(),
-        data_bytes: stream.data_bytes(),
-    }
+/// [`replay`], for callers that pass a host worker count: the engine is
+/// one simulation, so `workers` is unused and the report is exactly
+/// [`replay`]'s.
+pub fn replay_threaded(stream: &OpStream, spec: &ReplaySpec, _workers: usize) -> ReplayReport {
+    replay(stream, spec)
 }
 
 // ---------------------------------------------------------------------
@@ -1188,58 +765,32 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
         last_done: Cell::new(SimTime::ZERO),
         fragments: synth.fragments,
     });
-    let files: Vec<String> = open_loop_files(synth);
-    let files = Rc::new(files);
-    let extent = open_loop_extent(synth);
+    let files: Rc<Vec<String>> =
+        Rc::new((0..synth.files).map(|f| format!("synth{f}.data")).collect());
+    // A record starting at the last aligned offset ends past `file_bytes`.
+    let extent = synth.file_bytes + synth.op_bytes;
     let sh = Rc::clone(&shared);
     let iface = spec.iface;
     let mode = spec.mode;
-    let stats = run_world(spec.machine.clone(), ranks, move |ctx| {
-        let sh = Rc::clone(&sh);
-        let my_clients = std::mem::take(&mut per_rank.borrow_mut()[ctx.rank]);
-        let files = Rc::clone(&files);
-        Box::pin(open_loop_rank(
-            ctx, sh, my_clients, files, extent, iface, mode,
-        ))
+    let stats = run_world(spec.machine.clone(), ranks, |_| {
+        move |ctx: WorldCtx| -> RankFuture {
+            let sh = Rc::clone(&sh);
+            let my_clients = std::mem::take(&mut per_rank.borrow_mut()[ctx.rank]);
+            let files = Rc::clone(&files);
+            Box::pin(open_loop_rank(
+                ctx, sh, my_clients, files, extent, iface, mode,
+            ))
+        }
     });
     let latency = shared.latency.borrow().clone();
-    open_loop_report(
-        synth,
-        stats,
-        latency,
-        offered_ops,
-        shared.completed.get(),
-        shared.last_done.get(),
-    )
-}
-
-/// File names of the synthetic population.
-fn open_loop_files(synth: &SynthSpec) -> Vec<String> {
-    (0..synth.files).map(|f| format!("synth{f}.data")).collect()
-}
-
-/// Preallocation extent: a record starting at the last aligned offset
-/// ends past `file_bytes`.
-fn open_loop_extent(synth: &SynthSpec) -> u64 {
-    synth.file_bytes + synth.op_bytes
-}
-
-/// Assemble an [`OpenLoopReport`] from the run's raw measurements.
-fn open_loop_report(
-    synth: &SynthSpec,
-    stats: RunStats,
-    latency: LatencyHistogram,
-    offered_ops: u64,
-    completed_ops: u64,
-    last_done: SimTime,
-) -> OpenLoopReport {
+    let completed_ops = shared.completed.get();
     let duration = synth.duration.as_secs_f64();
     let offered_rate = if duration > 0.0 {
         offered_ops as f64 / duration
     } else {
         0.0
     };
-    let makespan = (last_done - SimTime::ZERO).as_secs_f64();
+    let makespan = (shared.last_done.get() - SimTime::ZERO).as_secs_f64();
     let achieved_rate = if makespan > 0.0 {
         completed_ops as f64 / makespan
     } else {
@@ -1256,7 +807,7 @@ fn open_loop_report(
 }
 
 /// One rank's open-loop program: open every file, then drive this rank's
-/// clients (shared by the monolithic and sharded runners).
+/// clients.
 async fn open_loop_rank(
     ctx: WorldCtx,
     sh: Rc<OpenLoopShared>,
@@ -1343,200 +894,6 @@ async fn open_loop_rank(
             }
         }
     }
-}
-
-/// Everything one shard of a sharded open-loop run reports back.
-struct OpenLoopShardOut {
-    io: ShardIoOut,
-    completed: u64,
-    last_done: SimTime,
-}
-
-/// Sharded variant of [`run_open_loop`]: partition the machine along its
-/// topology ([`iosim_machine::shard::plan`]) and simulate each shard's
-/// rank group — with its slice of the I/O nodes and its own file system —
-/// on its own executor, run by up to `workers` host threads.
-///
-/// Open-loop clients never talk to each other, so the shards exchange no
-/// cross-shard traffic at all; the conservative windows only pace the
-/// shards through virtual time together. The result is bit-identical for
-/// every `workers` value (the shard decomposition is fixed by the
-/// machine), but differs from [`run_open_loop`]'s monolithic schedule:
-/// each shard stripes its files over its own I/O-node slice. Degenerate
-/// machines fall back to [`run_open_loop`] exactly.
-pub fn run_open_loop_threaded(
-    synth: &SynthSpec,
-    spec: &ReplaySpec,
-    workers: usize,
-) -> OpenLoopReport {
-    run_open_loop_threaded_inner(synth, spec, workers, true)
-}
-
-/// [`run_open_loop_threaded`] under the static window protocol (send
-/// promises ignored; identical schedules and fingerprints, only
-/// [`RunStats::sync_rounds`] differs) — the bench baseline the adaptive
-/// window is measured against.
-pub fn run_open_loop_threaded_static(
-    synth: &SynthSpec,
-    spec: &ReplaySpec,
-    workers: usize,
-) -> OpenLoopReport {
-    run_open_loop_threaded_inner(synth, spec, workers, false)
-}
-
-fn run_open_loop_threaded_inner(
-    synth: &SynthSpec,
-    spec: &ReplaySpec,
-    workers: usize,
-    adaptive: bool,
-) -> OpenLoopReport {
-    use iosim_simkit::shard::{run_sharded, run_sharded_static, ShardCtx, ShardRuntime};
-
-    let host_t0 = std::time::Instant::now();
-    let workers = workers.max(1);
-    let clients = synth::generate(synth);
-    let offered_ops = synth::total_ops(&clients);
-    let ranks = synth.clients.min(spec.machine.compute_nodes).max(1);
-    let plan = iosim_machine::shard::plan(&spec.machine, ranks);
-    if plan.is_degenerate() {
-        let mut rep = run_open_loop(synth, spec);
-        rep.stats.host_elapsed = host_t0.elapsed();
-        return rep;
-    }
-    let lookahead = plan.lookahead.max(iosim_machine::shard::LOOKAHEAD_FLOOR);
-    let mut per_rank: Vec<Vec<Vec<TimedOp>>> = vec![Vec::new(); ranks];
-    for (c, ops) in clients.into_iter().enumerate() {
-        per_rank[c % ranks].push(ops);
-    }
-    let files = open_loop_files(synth);
-    let extent = open_loop_extent(synth);
-    let fragments = synth.fragments;
-    let iface = spec.iface;
-    let mode = spec.mode;
-    let per_rank = &per_rank;
-    let files = &files;
-    let cfg = &spec.machine;
-    let builders: Vec<_> = plan
-        .shards
-        .iter()
-        .cloned()
-        .map(|sspec| {
-            move |ctx: ShardCtx<()>| -> ShardRuntime<(), OpenLoopShardOut> {
-                // Open-loop shards never exchange messages, so every
-                // shard can promise the engine it will never send and
-                // the adaptive window runs the whole simulation in a
-                // handful of rounds.
-                ctx.promise.promise_never_sends();
-                let sim = Sim::new();
-                let trace = TraceCollector::new();
-                // This shard's slice of the machine, on the parent mesh
-                // (global ranks keep their real coordinates).
-                let sub_cfg = cfg
-                    .clone()
-                    .with_compute_nodes(sspec.ranks.max(1))
-                    .with_io_nodes(sspec.io_nodes.max(1));
-                let machine = Machine::new(sim.handle(), sub_cfg);
-                let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-                let world = World::new(Rc::clone(&machine), sspec.ranks);
-                let shared = Rc::new(OpenLoopShared {
-                    latency: RefCell::new(LatencyHistogram::new()),
-                    completed: Cell::new(0),
-                    last_done: Cell::new(SimTime::ZERO),
-                    fragments,
-                });
-                let shard_files = Rc::new(files.clone());
-                // Account this shard's resident replay state: its ranks'
-                // client schedules, the file-name table, the histogram.
-                let my_ops: usize = (sspec.rank_base..sspec.rank_base + sspec.ranks)
-                    .map(|r| per_rank[r].iter().map(Vec::len).sum::<usize>())
-                    .sum();
-                trace.mem().alloc(
-                    (my_ops * std::mem::size_of::<TimedOp>()
-                        + shard_files.iter().map(String::len).sum::<usize>())
-                        as u64
-                        + LatencyHistogram::footprint_bytes(),
-                );
-                let futs: Vec<RankFuture> = world
-                    .comms()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(local, comm)| -> RankFuture {
-                        let rank = sspec.rank_base + local;
-                        Box::pin(open_loop_rank(
-                            WorldCtx {
-                                rank,
-                                comm,
-                                fs: Rc::clone(&fs),
-                            },
-                            Rc::clone(&shared),
-                            per_rank[rank].clone(),
-                            Rc::clone(&shard_files),
-                            extent,
-                            iface,
-                            mode,
-                        ))
-                    })
-                    .collect();
-                let n = futs.len();
-                let h = sim.handle();
-                let jh = sim.spawn(async move {
-                    let done = join_all(&h, futs).await;
-                    done.len()
-                });
-                ShardRuntime {
-                    sim,
-                    deliver: Box::new(|_| {}),
-                    finish: Box::new(move || {
-                        assert_eq!(
-                            jh.try_take().expect("open-loop shard deadlocked"),
-                            n,
-                            "all ranks of shard {} must finish",
-                            sspec.index
-                        );
-                        OpenLoopShardOut {
-                            io: ShardIoOut::collect(
-                                &trace,
-                                &sspec,
-                                shared.latency.borrow().clone(),
-                            ),
-                            completed: shared.completed.get(),
-                            last_done: shared.last_done.get(),
-                        }
-                    }),
-                }
-            }
-        })
-        .collect();
-    let report = if adaptive {
-        run_sharded(lookahead, workers, builders)
-    } else {
-        run_sharded_static(lookahead, workers, builders)
-    };
-
-    let mut completed = 0u64;
-    let mut last_done = SimTime::ZERO;
-    let ios: Vec<ShardIoOut> = report
-        .results
-        .into_iter()
-        .map(|out| {
-            completed += out.completed;
-            last_done = last_done.max(out.last_done);
-            out.io
-        })
-        .collect();
-    let (stats, latency) = merge_shard_outs(
-        ShardRunMeta {
-            ranks,
-            io_nodes: spec.machine.io_nodes,
-            end_time: report.end_time,
-            events: report.events,
-            fingerprint: report.fingerprint,
-            rounds: report.rounds,
-            host_elapsed: host_t0.elapsed(),
-        },
-        ios,
-    );
-    open_loop_report(synth, stats, latency, offered_ops, completed, last_done)
 }
 
 /// Issue one open-loop op in direct or list-I/O style.
@@ -1780,196 +1137,6 @@ mod tests {
         let rep = run_open_loop(&synth, &ReplaySpec::two_phase(presets::paragon_small(), 8));
         assert_eq!(rep.offered_ops, rep.completed_ops);
         assert!(rep.latency.count() > 0);
-    }
-
-    #[test]
-    fn open_loop_threaded_is_worker_invariant_and_complete() {
-        let synth = SynthSpec {
-            clients: 8,
-            files: 2,
-            ..SynthSpec::small(20.0, 7)
-        };
-        let spec = ReplaySpec::direct(presets::paragon_small());
-        let a = run_open_loop_threaded(&synth, &spec, 1);
-        let b = run_open_loop_threaded(&synth, &spec, 4);
-        assert_eq!(a.stats.sched_fingerprint, b.stats.sched_fingerprint);
-        assert_eq!(a.stats.exec_time, b.stats.exec_time);
-        assert_eq!(a.stats.sim_events, b.stats.sim_events);
-        assert_eq!(a.stats.io_bytes, b.stats.io_bytes);
-        assert_eq!(a.completed_ops, a.offered_ops);
-        assert_eq!(a.latency.count(), a.completed_ops);
-        assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
-    }
-
-    #[test]
-    fn open_loop_threaded_degenerate_matches_monolithic() {
-        let synth = SynthSpec {
-            clients: 4,
-            ..SynthSpec::small(10.0, 5)
-        };
-        let spec = ReplaySpec::direct(presets::paragon_small().with_io_nodes(1));
-        let a = run_open_loop(&synth, &spec);
-        let b = run_open_loop_threaded(&synth, &spec, 4);
-        assert_eq!(a.stats.sched_fingerprint, b.stats.sched_fingerprint);
-        assert_eq!(a.stats.exec_time, b.stats.exec_time);
-        assert_eq!(a.stats.sim_events, b.stats.sim_events);
-        assert_eq!(a.completed_ops, b.completed_ops);
-    }
-
-    /// A dep-bearing stream whose edges cross shard boundaries on any
-    /// multi-shard plan: rank 0 writes labelled blocks, every other
-    /// rank reads them back.
-    fn cross_dep_stream(ranks: usize) -> OpStream {
-        let mut text = String::from("0 open f\n");
-        for r in 1..ranks {
-            text.push_str(&format!("{r} open f\n"));
-        }
-        for k in 0..4 {
-            text.push_str(&format!("0 write f {} 65536 @b{k}\n", k * 65536));
-        }
-        for r in 1..ranks {
-            for k in 0..4 {
-                text.push_str(&format!("{r} read f {} 4096 <-b{k}\n", k * 65536));
-            }
-        }
-        for r in 0..ranks {
-            text.push_str(&format!("{r} close f\n"));
-        }
-        parse_opstream(&text).unwrap()
-    }
-
-    #[test]
-    fn replay_threaded_is_worker_invariant_in_all_modes() {
-        let s = cross_dep_stream(4);
-        assert!(s.has_deps());
-        for spec in [
-            ReplaySpec::direct(presets::sp2()),
-            ReplaySpec::list_io(presets::sp2(), 4),
-            ReplaySpec::two_phase(presets::sp2(), 4),
-        ] {
-            let a = replay_threaded(&s, &spec, 1);
-            for workers in [2, 4] {
-                let b = replay_threaded(&s, &spec, workers);
-                assert_eq!(
-                    a.stats.sched_fingerprint, b.stats.sched_fingerprint,
-                    "workers={workers} {:?}",
-                    spec.mode
-                );
-                assert_eq!(a.stats.exec_time, b.stats.exec_time);
-                assert_eq!(a.stats.sim_events, b.stats.sim_events);
-                assert_eq!(a.stats.io_bytes, b.stats.io_bytes);
-                assert_eq!(a.stats.sync_rounds, b.stats.sync_rounds);
-                assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
-            }
-            assert_eq!(a.latency.count(), s.data_ops(), "{:?}", spec.mode);
-            // Two-phase redistribution reads whole stripes, so it can
-            // move more than the trace's sparse data bytes.
-            assert!(a.stats.io_bytes >= s.data_bytes(), "{:?}", spec.mode);
-            assert!(a.stats.sync_rounds > 0, "multi-shard plan must round");
-            assert!(a.stats.shard_mem.peak > 0, "shards must account memory");
-        }
-    }
-
-    #[test]
-    fn replay_threaded_degenerate_matches_monolithic() {
-        // One I/O node collapses the plan; the threaded entry must be
-        // bit-identical to the monolithic engine, not merely close.
-        let s = strided(3, 12, 2048);
-        for spec in [
-            ReplaySpec::direct(presets::paragon_small().with_io_nodes(1)),
-            ReplaySpec::list_io(presets::paragon_small().with_io_nodes(1), 4),
-            ReplaySpec::two_phase(presets::paragon_small().with_io_nodes(1), 6),
-        ] {
-            let mono = replay(&s, &spec);
-            for workers in [1, 2, 4] {
-                let t = replay_threaded(&s, &spec, workers);
-                assert_eq!(
-                    mono.stats.sched_fingerprint, t.stats.sched_fingerprint,
-                    "workers={workers} {:?}",
-                    spec.mode
-                );
-                assert_eq!(mono.stats.exec_time, t.stats.exec_time);
-                assert_eq!(mono.stats.sim_events, t.stats.sim_events);
-                assert_eq!(t.stats.sync_rounds, 0);
-                assert_eq!(mono.latency.quantile(0.5), t.latency.quantile(0.5));
-            }
-        }
-    }
-
-    #[test]
-    fn replay_threaded_orders_cross_shard_deps() {
-        let s = cross_dep_stream(4);
-        let spec = ReplaySpec::direct(presets::sp2());
-        let with_deps = replay_threaded(&s, &spec, 4);
-        // Stripping the edges lets the readers race ahead of the writer.
-        let mut free = s.clone();
-        for op in &mut free.ops {
-            op.deps.clear();
-            op.label = None;
-        }
-        let without = replay_threaded(&free, &spec, 4);
-        assert!(with_deps.stats.exec_time >= without.stats.exec_time);
-        assert_eq!(with_deps.stats.io_bytes, without.stats.io_bytes);
-    }
-
-    #[test]
-    fn adaptive_rounds_never_exceed_static() {
-        // Dep-free replay: every shard promises up front and the
-        // adaptive window collapses the ladder.
-        let s = strided(4, 30, 4096);
-        let spec = ReplaySpec::direct(presets::sp2());
-        let adaptive = replay_threaded(&s, &spec, 4);
-        let fixed = replay_threaded_static(&s, &spec, 4);
-        assert_eq!(
-            adaptive.stats.sched_fingerprint,
-            fixed.stats.sched_fingerprint
-        );
-        assert_eq!(adaptive.stats.exec_time, fixed.stats.exec_time);
-        assert!(adaptive.stats.sync_rounds <= fixed.stats.sync_rounds);
-        assert!(
-            adaptive.stats.sync_rounds <= 2,
-            "dep-free shards never send; got {} rounds",
-            adaptive.stats.sync_rounds
-        );
-        assert!(fixed.stats.sync_rounds > adaptive.stats.sync_rounds);
-
-        // Dep-bearing replay still must not regress past static.
-        let d = cross_dep_stream(4);
-        let da = replay_threaded(&d, &spec, 4);
-        let ds = replay_threaded_static(&d, &spec, 4);
-        assert_eq!(da.stats.sched_fingerprint, ds.stats.sched_fingerprint);
-        assert!(da.stats.sync_rounds <= ds.stats.sync_rounds);
-
-        // Open-loop shards never talk at all.
-        let synth = SynthSpec {
-            clients: 8,
-            ..SynthSpec::small(20.0, 7)
-        };
-        let oa = run_open_loop_threaded(&synth, &spec, 4);
-        let os = run_open_loop_threaded_static(&synth, &spec, 4);
-        assert_eq!(oa.stats.sched_fingerprint, os.stats.sched_fingerprint);
-        assert!(oa.stats.sync_rounds <= 2);
-        assert!(os.stats.sync_rounds > oa.stats.sync_rounds);
-    }
-
-    #[test]
-    fn shard_mem_peak_tracks_ranks_per_shard() {
-        // Same 4-rank trace, 2 shards vs 4: halving the ranks per shard
-        // must shrink the worst single shard's accounted peak.
-        let s = strided(4, 50, 4096);
-        let wide = replay_threaded(&s, &ReplaySpec::direct(presets::sp2()), 4);
-        let narrow = replay_threaded(&s, &ReplaySpec::direct(presets::sp2().with_io_nodes(2)), 4);
-        assert!(wide.stats.shard_mem.peak > 0);
-        assert!(narrow.stats.shard_mem.peak > 0);
-        assert!(
-            wide.stats.shard_mem.peak < narrow.stats.shard_mem.peak,
-            "4 shards peak {} must be below 2 shards peak {}",
-            wide.stats.shard_mem.peak,
-            narrow.stats.shard_mem.peak
-        );
-        // Monolithic runs partition nothing.
-        let mono = replay(&s, &ReplaySpec::direct(presets::sp2()));
-        assert!(mono.stats.shard_mem.is_empty());
     }
 
     #[test]

@@ -41,9 +41,8 @@ pub mod synth;
 pub use arrival::ArrivalModel;
 pub use darshan::DarshanSummary;
 pub use engine::{
-    replay, replay_threaded, replay_threaded_static, run_open_loop, run_open_loop_threaded,
-    run_open_loop_threaded_static, saturation_knee, OpenLoopReport, ReplayMode, ReplayReport,
-    ReplaySpec, RunStats, SweepPoint,
+    replay, replay_threaded, run_open_loop, saturation_knee, OpenLoopReport, ReplayMode,
+    ReplayReport, ReplaySpec, RunStats, SweepPoint,
 };
 pub use opstream::{
     detect_format, parse_any, parse_legacy, parse_opstream, render_legacy, render_opstream,

@@ -133,7 +133,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "scale",
             "cache",
             "queue-depth",
-            "threads",
         ],
         "scf30" => &[
             "io-nodes",
@@ -144,7 +143,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "queue-depth",
             "procs",
             "cached",
-            "threads",
         ],
         "fft" => &[
             "n",
@@ -154,7 +152,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "mem-mb",
             "cache",
             "queue-depth",
-            "threads",
         ],
         "btio" => &[
             "class",
@@ -164,7 +161,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "queue-depth",
             "procs",
             "optimized",
-            "threads",
         ],
         "ast" => &[
             "grid",
@@ -176,17 +172,8 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "procs",
             "io-nodes",
             "optimized",
-            "threads",
         ],
-        "replay" => &[
-            "trace",
-            "seed",
-            "machine",
-            "collective",
-            "batch",
-            "mode",
-            "threads",
-        ],
+        "replay" => &["trace", "seed", "machine", "collective", "batch", "mode"],
         "synth" => &[
             "rate",
             "bursty",
@@ -206,7 +193,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "collective",
             "batch",
             "mode",
-            "threads",
         ],
         "sweep" => &[
             "workload",
@@ -218,7 +204,6 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "interface",
             "stripe-kb",
             "io-nodes",
-            "threads-hint",
             "scale",
             "sample",
             "seed",
@@ -234,29 +219,11 @@ fn accepted_flags(app: &str) -> Option<&'static [&'static str]> {
             "interface",
             "stripe-kb",
             "io-nodes",
-            "threads-hint",
             "coarse",
             "keep",
         ],
         _ => return None,
     })
-}
-
-/// `--threads N` selects the sharded parallel engine with N host
-/// workers; without the flag, the `IOSIM_THREADS` environment pin (the
-/// same override the bench sweeps honor) is consulted, and with neither
-/// the original monolithic engine runs. The sharded engine partitions
-/// the machine along I/O-node boundaries, so its virtual times are
-/// bit-identical for every N >= 1 — but they are a different (shard-
-/// partitioned) model than the monolithic engine's.
-fn threads(o: &Opts) -> Option<usize> {
-    if o.0.contains_key("threads") {
-        return Some(o.get("threads", 1).max(1));
-    }
-    std::env::var("IOSIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 1)
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Opts {
@@ -311,10 +278,7 @@ fn run_scf11(o: &Opts) -> RunResult {
         version,
         cfg.tuple()
     );
-    let r = match threads(o) {
-        Some(t) => scf11::run_threaded(&cfg, t),
-        None => scf11::run(&cfg),
-    };
+    let r = scf11::run(&cfg);
     eprintln!("foreground I/O time: {}", r.fg_io_time);
     r.run
 }
@@ -337,10 +301,7 @@ fn run_scf30(o: &Opts) -> RunResult {
         "SCF 3.0 MEDIUM {}% cached, {} procs, {} I/O nodes",
         cfg.cached_percent, cfg.procs, cfg.io_nodes
     );
-    let r = match threads(o) {
-        Some(t) => scf30::run_threaded(&cfg, t),
-        None => scf30::run(&cfg),
-    };
+    let r = scf30::run(&cfg);
     eprintln!("balance moved: {} KB", r.balance_moved / 1024);
     r.run
 }
@@ -359,10 +320,7 @@ fn run_fft(o: &Opts) -> RunResult {
         "2-D out-of-core FFT {}x{} complex, {} procs, {} I/O nodes, optimized={}",
         cfg.n, cfg.n, cfg.procs, cfg.io_nodes, cfg.optimized
     );
-    match threads(o) {
-        Some(t) => fft::run_threaded(&cfg, t),
-        None => fft::run(&cfg),
-    }
+    fft::run(&cfg)
 }
 
 fn run_btio(o: &Opts) -> RunResult {
@@ -393,10 +351,7 @@ fn run_btio(o: &Opts) -> RunResult {
         cfg.dumps,
         cfg.optimized
     );
-    match threads(o) {
-        Some(t) => btio::run_threaded(&cfg, t),
-        None => btio::run(&cfg),
-    }
+    btio::run(&cfg)
 }
 
 fn run_ast(o: &Opts) -> RunResult {
@@ -417,10 +372,7 @@ fn run_ast(o: &Opts) -> RunResult {
         "AST {}x{} grid, {} arrays, {} procs, {} I/O nodes, optimized={}",
         cfg.grid, cfg.grid, cfg.arrays, cfg.procs, cfg.io_nodes, cfg.optimized
     );
-    match threads(o) {
-        Some(t) => ast::run_threaded(&cfg, t),
-        None => ast::run(&cfg),
-    }
+    ast::run(&cfg)
 }
 
 fn machine_preset(o: &Opts) -> iosim::machine::MachineConfig {
@@ -474,19 +426,12 @@ fn run_replay(o: &Opts) -> RunResult {
         stream.ranks(),
         spec.mode,
     );
-    let report = match threads(o) {
-        // Cross-rank trace dependencies become cross-shard dep tokens
-        // on the shard-link mailboxes; virtual times stay bit-identical
-        // at every worker count.
-        Some(t) => workload::replay_threaded(&stream, &spec, t),
-        None => workload::replay(&stream, &spec),
-    };
+    let report = workload::replay(&stream, &spec);
     println!("{}", report.latency.render_line());
     println!(
         "replay rate    : {:.1} ops/s (virtual)",
         report.ops_per_sec()
     );
-    println!("engine         : {}", engine_line(o, &report.stats));
     report.stats.into()
 }
 
@@ -525,12 +470,8 @@ fn run_synth(o: &Opts) -> RunResult {
         synth.duration,
         spec.mode,
     );
-    let report = match threads(o) {
-        Some(t) => iosim::workload::run_open_loop_threaded(&synth, &spec, t),
-        None => iosim::workload::run_open_loop(&synth, &spec),
-    };
+    let report = iosim::workload::run_open_loop(&synth, &spec);
     println!("{}", report.latency.render_line());
-    println!("engine         : {}", engine_line(o, &report.stats));
     println!(
         "offered        : {:.1} ops/s ({} ops)",
         report.offered_rate, report.offered_ops
@@ -588,7 +529,6 @@ fn hint_grid(o: &Opts) -> iosim::optim::HintGrid {
         },
         stripe_unit_kb: list(o, "stripe-kb", vec![d.stripe_unit_kb]),
         io_nodes: list(o, "io-nodes", vec![d.io_nodes]),
-        threads: list(o, "threads-hint", vec![d.threads]),
     }
 }
 
@@ -602,9 +542,12 @@ fn advisor_setup(o: &Opts) -> (&'static str, iosim::bench::advisor::BatchAdvisor
             WORKLOADS.join(", ")
         ));
     };
-    let threads = match threads(o) {
-        Some(t) => t,
-        None => iosim::bench::parallel::default_threads(),
+    // `--threads T` is the evaluation fan-out width; without it the
+    // `IOSIM_THREADS` pin, else the host's cores.
+    let threads = if o.flag("threads") {
+        o.get("threads", 1).max(1)
+    } else {
+        iosim::bench::parallel::default_threads()
     };
     let advisor = iosim::bench::advisor::BatchAdvisor::new(o.get("memo", 256), threads);
     (WORKLOADS[idx], advisor)
@@ -703,19 +646,6 @@ fn run_advise(o: &Opts) {
     eprintln!("host: {:.1} ms", wall.as_secs_f64() * 1e3);
 }
 
-/// One-line engine summary: worker count and, for sharded runs, the
-/// synchronization-round count (degenerate shard plans report the
-/// monolithic fallback honestly).
-fn engine_line(o: &Opts, s: &iosim::workload::RunStats) -> String {
-    match threads(o) {
-        Some(t) if s.sync_rounds > 0 => {
-            format!("sharded, {t} workers, {} sync rounds", s.sync_rounds)
-        }
-        Some(t) => format!("monolithic (degenerate shard plan; {t} workers requested)"),
-        None => "monolithic, 1 worker".into(),
-    }
-}
-
 fn print_result(r: &RunResult) {
     println!("execution time : {}", r.exec_time);
     println!(
@@ -747,9 +677,6 @@ fn print_result(r: &RunResult) {
             println!("{batching}");
         }
     }
-    if !r.shard_mem.is_empty() {
-        println!("{}", r.shard_mem.render_line());
-    }
     println!();
     println!(
         "{}",
@@ -766,14 +693,12 @@ fn usage() {
          \x20             --procs N --io-nodes N --scale X --optimized\n\
          \x20             --cache MB   per-I/O-node LRU buffer cache (0 = off, the default)\n\
          \x20             --queue-depth N   I/O-node command-queue depth (1 = FIFO, the default)\n\
-         \x20             --threads N  host threads for the sharded engine (default: $IOSIM_THREADS, else 1);\n\
-         \x20                          virtual times and fingerprints are identical at any thread count\n\
          scf11: --input small|medium|large --version original|passion|prefetch --mem-kb N --stripe-kb N\n\
          scf30: --cached PCT --unbalanced --no-prefetch\n\
          fft:   --n N --mem-mb N\n\
          btio:  --class a|b|N --dumps N --verify\n\
          ast:   --grid N --arrays N --dumps N --restart\n\
-         replay: --trace FILE [--mode direct|list|twophase] [--batch N] [--seed N] [--threads N]\n\
+         replay: --trace FILE [--mode direct|list|twophase] [--batch N] [--seed N]\n\
          \x20       [--machine sp2|paragon|paragon-small]  (--collective BATCH = legacy twophase)\n\
          \x20       trace formats: legacy 4-column, #iosim opstream, #iosim darshan (auto-detected)\n\
          synth: --clients N --rate R [--bursty --mean-on S --mean-off S] --duration S\n\
@@ -781,11 +706,12 @@ fn usage() {
          \x20      [--mode direct|list|twophase] [--batch N] [--cache MB] [--queue-depth N]\n\
          sweep: --workload scf11|scf30|fft|btio|ast|synth + comma-list knobs\n\
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
-         \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\
+         \x20      --stripe-kb A,B --io-nodes A,B\n\
          \x20      [--sample N --seed S] [--scale F] [--memo N] [--memo-file PATH] [--threads T]\n\
+         \x20      (T: simulations run at once; default $IOSIM_THREADS, else the host's cores)\n\
          advise: --workload scf11|scf30|fft|btio|ast|synth + comma-list knobs\n\
          \x20      --cache A,B --queue-depth A,B --agg A,B --interface fortran,unix,passion\n\
-         \x20      --stripe-kb A,B --io-nodes A,B --threads-hint A,B\n\
+         \x20      --stripe-kb A,B --io-nodes A,B\n\
          \x20      [--coarse F] [--keep N] [--memo N] [--threads T]\n\
          \x20      (successive halving: coarse rounds prune, survivors run full fidelity)"
     );

@@ -79,7 +79,7 @@ fn sweep_reports_are_thread_invariant_and_pinned() {
     // changes. verify.sh re-runs this under IOSIM_THREADS=1 and =4.
     assert_eq!(
         fnv1a(r1.as_bytes()),
-        0x0b17_2b56_60de_d96d,
+        0xe4cf_7a5a_13b3_626d,
         "sweep report bytes moved; if intentional, re-pin:\n{r1}"
     );
 }
@@ -91,7 +91,7 @@ fn advise_reports_are_thread_invariant_and_pinned() {
     assert_eq!(r1, r4, "advise report differs between thread budgets");
     assert_eq!(
         fnv1a(r1.as_bytes()),
-        0xcac7_ee42_4680_c742,
+        0x88c9_bbee_6dac_5786,
         "advise report bytes moved; if intentional, re-pin:\n{r1}"
     );
 }

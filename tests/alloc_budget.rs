@@ -11,7 +11,8 @@
 //!
 //! The poll budgets at the end pin the same for executor wake-ups: a
 //! collective costs each rank a few polls at any world size, not a few
-//! per message.
+//! per message. The same allocator also tracks live bytes, which pins
+//! that a finished simulation frees everything it allocated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,24 +25,34 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-// SAFETY: defers every operation to `System`; the counter is a
-// const-initialized thread-local `Cell` without a destructor, so touching
-// it cannot allocate or recurse.
+fn add_live(bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: defers every operation to `System`; the counters are
+// const-initialized thread-local `Cell`s without destructors, so touching
+// them cannot allocate or recurse.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -243,8 +254,63 @@ fn two_phase_replay_polls_per_io_op_stay_within_budget() {
         "two-phase replay: {} polls over {} io_ops = {per_op:.3}/op",
         r.stats.sim_events, r.stats.io_ops
     );
-    // Measured 4.78 (191 polls over 40 io_ops); the message-at-a-time
-    // exchange took 7.73.
-    assert!(r.stats.io_ops >= 40, "{} io_ops", r.stats.io_ops);
+    // Measured 4.55 (100 polls over 22 io_ops): each rank opens the
+    // checkpoint file and its own scratch log. When every rank opened
+    // every file it was 4.78 (191 polls over 40 io_ops), and the
+    // message-at-a-time exchange took 7.73.
+    assert!(r.stats.io_ops >= 22, "{} io_ops", r.stats.io_ops);
     assert!(per_op <= 5.5, "{per_op:.3} polls per io op");
+}
+
+/// Two-phase replay polls per data op of a trace in which each of
+/// `ranks` ranks writes eight records to a file no other rank opens.
+fn private_files_two_phase_polls_per_data_op(ranks: usize) -> f64 {
+    let mut text = String::from("#iosim opstream v1\n");
+    for r in 0..ranks {
+        text.push_str(&format!("{r} open own{r}.dat\n"));
+        for k in 0..8 {
+            text.push_str(&format!("{r} write own{r}.dat {} 65536\n", k * 65536));
+        }
+        text.push_str(&format!("{r} close own{r}.dat\n"));
+    }
+    let stream = parse_any(&text, 42).expect("generated trace parses");
+    let machine = presets::sp2().with_compute_nodes(ranks);
+    let r = iosim::workload::replay(&stream, &ReplaySpec::two_phase(machine, 4));
+    r.stats.sim_events as f64 / stream.data_ops() as f64
+}
+
+#[test]
+fn two_phase_collectives_span_only_a_files_openers() {
+    // A file's collectives run over the ranks that open it, so a private
+    // file costs its one rank the same polls whatever the job's size.
+    // Measured: 1.28 polls per data op at 4 ranks, 1.31 at 32. When every
+    // rank joined every file's collectives: 11.41 and 235.09.
+    let small = private_files_two_phase_polls_per_data_op(4);
+    let large = private_files_two_phase_polls_per_data_op(32);
+    eprintln!("private files: {small:.2} polls/data op at 4 ranks, {large:.2} at 32");
+    assert!(
+        large <= small + 0.5,
+        "polls per data op grew with the job: {small:.2} at 4 ranks, {large:.2} at 32"
+    );
+}
+
+#[test]
+fn repeated_replays_on_a_queued_machine_free_their_simulations() {
+    // With a command queue, each I/O node runs a daemon task that holds
+    // the machine, and through it the simulation's own core; dropping
+    // the simulation must still free it.
+    let text = include_str!("data/sample_opstream.trace");
+    let stream = parse_any(text, 42).expect("committed sample trace parses");
+    let spec = ReplaySpec::direct(presets::sp2().with_io_queue_depth(8));
+    let replay = || drop(iosim::workload::replay(&stream, &spec));
+    replay(); // warm up thread-local state outside the measurement
+    let base = LIVE.with(Cell::get);
+    replay();
+    let after_one = LIVE.with(Cell::get) - base;
+    for _ in 1..20 {
+        replay();
+    }
+    let after_twenty = LIVE.with(Cell::get) - base;
+    eprintln!("live bytes: {after_one} after one replay, {after_twenty} after twenty");
+    assert_eq!(after_twenty, after_one, "each replay leaks its simulation");
 }

@@ -43,6 +43,19 @@ fn zero_counts_are_rejected_not_panicked_on() {
 #[test]
 fn unknown_flags_and_negative_scales_are_rejected() {
     assert_rejected(&["fft", "--bogus", "3"], "unknown flag --bogus for fft");
+    // Host threads are no run option: one simulation gives one answer.
+    for app in ["scf11", "scf30", "fft", "btio", "ast", "replay", "synth"] {
+        assert_rejected(
+            &[app, "--threads", "2"],
+            &format!("unknown flag --threads for {app}"),
+        );
+    }
+    for app in ["sweep", "advise"] {
+        assert_rejected(
+            &[app, "--threads-hint", "1,2"],
+            &format!("unknown flag --threads-hint for {app}"),
+        );
+    }
     assert_rejected(
         &["scf11", "--scale", "-1"],
         "--scale must be greater than 0",
@@ -94,7 +107,7 @@ fn advise_help_flags() -> Vec<String> {
 #[test]
 fn advise_accepts_every_flag_its_help_names() {
     let flags = advise_help_flags();
-    assert_eq!(flags.len(), 12, "advise help flags: {flags:?}");
+    assert_eq!(flags.len(), 11, "advise help flags: {flags:?}");
     for flag in &flags {
         // A value no flag takes: the run must stop on the value (exit 2,
         // before any simulation), never on the flag name.

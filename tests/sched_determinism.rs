@@ -152,68 +152,6 @@ const SNAPSHOTS: &[(&str, usize, u64, u64, u64, u64, u64)] = &[
     ("ast", 16, 4, 430638750, 98366400, 128, 0xd3109bed508fa7e7),
 ];
 
-/// The same configuration matrix on the sharded parallel engine.
-fn run_app_threaded(app: &str, depth: usize, cache: u64, workers: usize) -> RunResult {
-    match app {
-        "scf11" => {
-            scf11::run_threaded(
-                &scf11::Scf11Config {
-                    scale: 0.02,
-                    cache_mb: cache,
-                    queue_depth: depth,
-                    ..scf11::Scf11Config::new(
-                        scf11::ScfInput::Small,
-                        scf11::Scf11Version::PassionPrefetch,
-                    )
-                },
-                workers,
-            )
-            .run
-        }
-        "scf30" => {
-            scf30::run_threaded(
-                &scf30::Scf30Config {
-                    scale: 0.02,
-                    cache_mb: cache,
-                    queue_depth: depth,
-                    ..scf30::Scf30Config::new(scf11::ScfInput::Small, 8, 75)
-                },
-                workers,
-            )
-            .run
-        }
-        "fft" => fft::run_threaded(
-            &fft::FftConfig {
-                cache_mb: cache,
-                queue_depth: depth,
-                ..fft::FftConfig::new(128, 4, true)
-            },
-            workers,
-        ),
-        "btio" => btio::run_threaded(
-            &btio::BtioConfig {
-                dumps: 2,
-                cache_mb: cache,
-                queue_depth: depth,
-                ..btio::BtioConfig::new(btio::BtClass::Custom(16), 9, false)
-            },
-            workers,
-        ),
-        "ast" => ast::run_threaded(
-            &ast::AstConfig {
-                grid: 64,
-                arrays: 2,
-                dumps: 2,
-                cache_mb: cache,
-                queue_depth: depth,
-                ..ast::AstConfig::new(4, 16, true)
-            },
-            workers,
-        ),
-        other => panic!("unknown app {other}"),
-    }
-}
-
 fn run_app(app: &str, depth: usize, cache: u64) -> RunResult {
     match app {
         "scf11" => {
@@ -311,36 +249,4 @@ fn fingerprint_is_stable_across_repeat_runs() {
     let b = run_app("fft", 1, 0);
     assert_eq!(a.sched_fingerprint, b.sched_fingerprint);
     assert_eq!(a.sim_events, b.sim_events);
-}
-
-/// The sharded engine over the whole snapshot matrix, at the worker
-/// count pinned by `IOSIM_THREADS` (default 4), against the
-/// single-worker sharded oracle. `verify.sh` runs this binary under
-/// both `IOSIM_THREADS=1` (serial: the engine's window protocol with no
-/// real concurrency) and `IOSIM_THREADS=4` (genuine cross-thread
-/// execution); every virtual observable must be bit-identical either
-/// way. The 20 monolithic snapshot rows above are unaffected by the
-/// pin — they always run the original engine.
-#[test]
-fn sharded_matrix_is_worker_count_invariant() {
-    let workers = std::env::var("IOSIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
-    for &(app, depth, cache, ..) in SNAPSHOTS {
-        let oracle = run_app_threaded(app, depth, cache, 1);
-        let r = run_app_threaded(app, depth, cache, workers);
-        let tag = format!("{app} depth={depth} cache={cache}MB workers={workers}");
-        assert_eq!(r.exec_time, oracle.exec_time, "{tag}: exec_time diverged");
-        assert_eq!(r.io_time, oracle.io_time, "{tag}: io_time diverged");
-        assert_eq!(
-            r.sim_events, oracle.sim_events,
-            "{tag}: poll count diverged"
-        );
-        assert_eq!(
-            r.sched_fingerprint, oracle.sched_fingerprint,
-            "{tag}: schedule fingerprint diverged"
-        );
-    }
 }

@@ -31,22 +31,10 @@ echo "== perfbench smoke (every job repeats the warm-up job exactly) =="
 # benchmark gate.
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "== sharded engine determinism (IOSIM_THREADS=1 and =4) =="
-# The parallel engine must produce bit-identical virtual times and
-# schedule fingerprints at any worker count. Run the scheduler snapshot
-# suite with the sharded path pinned serial and pinned to four real
-# threads; both must match the committed oracles.
-IOSIM_THREADS=1 cargo test -q --offline --test sched_determinism
-IOSIM_THREADS=4 cargo test -q --offline --test sched_determinism
-
-echo "== sharded replay determinism (IOSIM_THREADS=1 and =4) =="
-# Trace replay under the sharded engine: virtual times, fingerprints
-# and latency distributions must be bit-identical at any worker count,
-# cross-shard dep tokens included; degenerate plans must match the
-# monolithic engine exactly. Run under both thread pins like the
-# scheduler suite above.
-IOSIM_THREADS=1 cargo test -q --offline --test replay_shard_determinism
-IOSIM_THREADS=4 cargo test -q --offline --test replay_shard_determinism
+echo "== scheduler determinism (committed schedule oracles) =="
+# Every row of the snapshot matrix must reproduce its committed virtual
+# times, poll counts and schedule fingerprints.
+cargo test -q --offline --test sched_determinism
 
 echo "== advisor determinism (IOSIM_THREADS=1 and =4) =="
 # Batch-advisor reports are pure functions of (query set, scale, memo
@@ -92,28 +80,11 @@ done
 echo "== EXPERIMENTS.md matches what repro writes =="
 # Regenerates every paper table and extension into a temp file and diffs
 # it against the committed EXPERIMENTS.md, so a change that moves any
-# virtual result, shape check or schedule fingerprint fails here.
-# Extension 11's table also reports host throughput (events/sec, host
-# wall time and the host's core count), which differs from run to run
-# and machine to machine; those fields alone are masked on both sides.
-mask_host_time() {
-  awk '
-    /^## / { ext11 = /^## Extension 11:/ }
-    ext11 {
-      gsub(/this host has [0-9]+ core\(s\)/, "this host has N core(s)")
-      sub(/on this [0-9]+-core host: .*/, "on this N-core host: (host timing)")
-      if ($0 ~ /^[a-z_]+ \| [0-9]+ \| [0-9.]+ \| [0-9.]+ \| 0x[0-9a-f]+$/) {
-        split($0, f, / \| /)
-        $0 = f[1] " | " f[2] " | - | - | " f[5]
-      }
-      if ($0 ~ /^ +[0-9.]+( +[0-9.]+)+$/) { $0 = $1 " (host timing)" }
-    }
-    { print }
-  ' "$1"
-}
+# virtual result, shape check or schedule fingerprint fails here. Every
+# number in it is virtual, so nothing is masked.
 md="$(mktemp)"
 cargo run --release --offline -q -p iosim-bench --bin repro -- all --write-md "$md" >/dev/null
-if ! diff <(mask_host_time EXPERIMENTS.md) <(mask_host_time "$md"); then
+if ! diff EXPERIMENTS.md "$md"; then
   rm -f "$md"
   echo "repro output differs from EXPERIMENTS.md (diff above)"
   exit 1
