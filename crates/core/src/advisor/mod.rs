@@ -6,7 +6,7 @@
 //! dominant accesses contiguous. This module implements that analysis for
 //! 2-D out-of-core arrays: loop nests are summarized as weighted accesses
 //! with a fastest-varying dimension, and [`choose_layouts`] picks, per
-//! array, the layout minimizing estimated I/O calls.
+//! array, the layout conforming to its heavier access direction.
 
 use std::collections::HashMap;
 
@@ -81,35 +81,6 @@ pub fn choose_layouts(accesses: &[ArrayAccess]) -> HashMap<String, FileLayout> {
         .collect()
 }
 
-/// Estimated I/O calls for accessing an `nr × nc` block of an array with
-/// the given layout, when the access order is `order`. This is the cost
-/// function the chooser minimizes; exposed for tests and ablations.
-pub fn estimated_calls(
-    rows: u64,
-    nr: u64,
-    nc: u64,
-    layout: FileLayout,
-    _order: AccessOrder,
-) -> u64 {
-    match layout {
-        FileLayout::ColMajor => {
-            if nr == rows {
-                1
-            } else {
-                nc
-            }
-        }
-        FileLayout::RowMajor => {
-            // Symmetric: treat `rows` as the extent of the contiguous dim.
-            if nc == rows {
-                1
-            } else {
-                nr
-            }
-        }
-    }
-}
-
 /// The FFT transpose scenario from the paper: array A read in column
 /// blocks, array B written in row blocks (or vice versa). Returns the
 /// layouts the advisor picks — one row-major, one column-major.
@@ -162,20 +133,6 @@ mod tests {
         assert_ne!(advice["A"], advice["B"]);
         assert_eq!(advice["A"], FileLayout::ColMajor);
         assert_eq!(advice["B"], FileLayout::RowMajor);
-    }
-
-    #[test]
-    fn estimated_calls_favor_conforming_layout() {
-        // Full-column block from a col-major file: one call; from a
-        // row-major file: nr calls.
-        assert_eq!(
-            estimated_calls(64, 64, 8, FileLayout::ColMajor, AccessOrder::RowFastest),
-            1
-        );
-        assert_eq!(
-            estimated_calls(64, 64, 8, FileLayout::RowMajor, AccessOrder::RowFastest),
-            64
-        );
     }
 
     #[test]

@@ -197,30 +197,31 @@ mod tests {
         assert!(f_half < f_none / 2.0 + 1e-9);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        #[test]
-        fn balance_preserves_total_and_converges(
-            sizes in proptest::collection::vec(0u64..10_000_000, 1..20),
-            tol in 1_000u64..1_000_000,
-        ) {
+    #[test]
+    fn drawn_balance_preserves_total_and_converges() {
+        for seed in 0xba1a_0000..0xba1a_0000 + 500u64 {
+            let mut rng = iosim_simkit::rng::SimRng::seed_from(seed);
+            let sizes: Vec<u64> = (0..rng.range(1, 20))
+                .map(|_| rng.range(0, 10_000_000))
+                .collect();
+            let tol = rng.range(1_000, 1_000_000);
             let moves = plan_balance(&sizes, tol);
             let balanced = apply_moves(&sizes, &moves);
-            prop_assert_eq!(
-                balanced.iter().sum::<u64>(),
-                sizes.iter().sum::<u64>()
-            );
-            let mean = (sizes.iter().sum::<u64>() / sizes.len() as u64) as i64;
+            let total: u64 = sizes.iter().sum();
+            assert_eq!(balanced.iter().sum::<u64>(), total, "seed {seed}");
+            let mean = total / sizes.len() as u64;
             for b in &balanced {
-                prop_assert!((*b as i64 - mean).unsigned_abs() <= tol + 1);
+                assert!(
+                    b.abs_diff(mean) <= tol + 1,
+                    "seed {seed}: {b} is more than {tol} from the mean {mean}"
+                );
             }
             // Bounded number of moves (each strictly reduces imbalance).
-            prop_assert!(moves.len() <= sizes.len() * 64);
-        }
+            assert!(
+                moves.len() <= sizes.len() * 64,
+                "seed {seed}: {} moves",
+                moves.len()
+            );
         }
     }
 }

@@ -9,21 +9,24 @@
 //! |---|---|---|
 //! | Collective (two-phase) I/O | [`two_phase`] | BTIO, AST |
 //! | File layout selection | [`ooc`], [`advisor`] | FFT |
-//! | Efficient interface (packing) | [`packed`] | SCF 1.1, SCF 3.0 |
+//! | Efficient interface (packing) | see below | SCF 1.1, SCF 3.0 |
 //! | Prefetching | [`prefetch`] | SCF 1.1, SCF 3.0 |
 //! | Balanced I/O | [`balanced`] | SCF 3.0 |
 //!
+//! The efficient interface has no module here: it is the cheaper
+//! per-call cost of `iosim_machine::Interface::Passion`, which the SCF
+//! applications select while issuing their own large chunked writes
+//! and reads.
+//!
 //! Every technique is *functional*, not just timed: two-phase I/O really
-//! redistributes bytes, out-of-core arrays really store values, packing
-//! really merges operations — so optimized and unoptimized runs can be
-//! checked for identical results while their simulated costs differ.
+//! redistributes bytes and out-of-core arrays really store values, so
+//! optimized and unoptimized runs can be checked for identical results
+//! while their simulated costs differ.
 
 pub mod advisor;
 pub mod balanced;
 pub mod ckpt;
-pub mod loopnest;
 pub mod ooc;
-pub mod packed;
 pub mod prefetch;
 pub mod sieve;
 pub mod two_phase;
@@ -31,9 +34,7 @@ pub mod two_phase;
 pub use advisor::{choose_layouts, AccessOrder, ArrayAccess, HintError, HintGrid, Hints};
 pub use balanced::{apply_moves, default_tolerance, plan_balance, Move, SemiDirect};
 pub use ckpt::Checkpointer;
-pub use loopnest::{analyze, ArrayRef, Loop, LoopNest, Plan};
 pub use ooc::{FileLayout, OocArray};
-pub use packed::{ChunkReader, PackedStats, PackedWriter};
 pub use prefetch::{PrefetchStats, Prefetcher};
 pub use sieve::{read_sieved, write_sieved, SieveStats};
 pub use two_phase::{

@@ -286,10 +286,6 @@ pub struct MachineConfig {
     /// 1.0 is nominal, 0.25 is a node serving at quarter speed. Empty
     /// means all nominal; shorter-than-`io_nodes` vectors pad with 1.0.
     pub io_node_speed: Vec<f64>,
-    /// Optional detailed disk model (seek curve + rotational latency);
-    /// `None` uses the flat [`DiskParams`] costs the presets are
-    /// calibrated with.
-    pub disk_geometry: Option<crate::disk::DiskGeometry>,
 }
 
 impl MachineConfig {
@@ -357,12 +353,6 @@ impl MachineConfig {
     /// I/O node with default policy knobs (see [`CacheParams::lru`]).
     pub fn with_lru_cache(self, capacity_bytes: u64) -> Self {
         self.with_cache(CacheParams::lru(capacity_bytes))
-    }
-
-    /// Builder-style: switch the disks to the detailed geometric model.
-    pub fn with_disk_geometry(mut self, geometry: crate::disk::DiskGeometry) -> Self {
-        self.disk_geometry = Some(geometry);
-        self
     }
 
     /// Builder-style: set the per-I/O-node command-queue depth. Depth 1

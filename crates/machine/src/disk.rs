@@ -1,122 +1,10 @@
-//! Detailed disk geometry model.
+//! The disk command-queue scheduler.
 //!
-//! The flat [`crate::config::DiskParams`] model charges a fixed seek
-//! penalty for any discontiguous access. This module provides the
-//! classical refinement used by disk simulators of the period (after
-//! Ruemmler & Wilkes' "An introduction to disk drive modeling"): a
-//! seek-time curve over cylinder distance, rotational latency, and
-//! per-track transfer — so short seeks (a neighbouring file region) cost
-//! far less than full-stroke seeks (hopping between files at opposite
-//! ends of the disk).
-//!
-//! The geometric model is opt-in per machine
-//! ([`crate::MachineConfig::with_disk_geometry`]); the paper-calibrated
-//! presets keep the flat model, and an ablation bench compares the two.
-
-use iosim_simkit::time::SimDuration;
-
-/// Geometry and timing of one disk, 1990s class.
-#[derive(Clone, Copy, Debug)]
-pub struct DiskGeometry {
-    /// Number of cylinders.
-    pub cylinders: u64,
-    /// Bytes per track (one revolution's worth).
-    pub track_bytes: u64,
-    /// Tracks per cylinder (heads).
-    pub heads: u64,
-    /// Spindle speed, revolutions per minute.
-    pub rpm: f64,
-    /// Single-track seek time.
-    pub seek_min: SimDuration,
-    /// Full-stroke seek time.
-    pub seek_max: SimDuration,
-    /// Controller / command overhead per request.
-    pub overhead: SimDuration,
-}
-
-impl DiskGeometry {
-    /// A ~2 GB 5,400 RPM SCSI disk of the mid-1990s (Paragon RAID member
-    /// class).
-    pub fn classic_1995() -> DiskGeometry {
-        DiskGeometry {
-            cylinders: 2_700,
-            track_bytes: 48 << 10,
-            heads: 16,
-            rpm: 5_400.0,
-            seek_min: SimDuration::from_micros(900),
-            seek_max: SimDuration::from_millis(22),
-            overhead: SimDuration::from_micros(500),
-        }
-    }
-
-    /// Disk capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.cylinders * self.heads * self.track_bytes
-    }
-
-    /// Bytes per cylinder.
-    pub fn cylinder_bytes(&self) -> u64 {
-        self.heads * self.track_bytes
-    }
-
-    /// Cylinder holding byte `offset` (offsets beyond capacity wrap, so
-    /// synthetic files larger than the disk still get sane geometry).
-    pub fn cylinder_of(&self, offset: u64) -> u64 {
-        (offset / self.cylinder_bytes()) % self.cylinders
-    }
-
-    /// One full revolution.
-    pub fn revolution(&self) -> SimDuration {
-        SimDuration::from_secs_f64(60.0 / self.rpm)
-    }
-
-    /// Media transfer rate, bytes/second.
-    pub fn transfer_bps(&self) -> f64 {
-        self.track_bytes as f64 / self.revolution().as_secs_f64()
-    }
-
-    /// Seek time over `distance` cylinders: the standard
-    /// `a + b·√distance` curve pinned at (1, seek_min) and
-    /// (cylinders − 1, seek_max).
-    ///
-    /// ```
-    /// use iosim_machine::DiskGeometry;
-    /// let d = DiskGeometry::classic_1995();
-    /// assert_eq!(d.seek_time(1), d.seek_min);
-    /// assert!(d.seek_time(100) < d.seek_time(2000));
-    /// ```
-    pub fn seek_time(&self, distance: u64) -> SimDuration {
-        if distance == 0 {
-            return SimDuration::ZERO;
-        }
-        let d = distance as f64;
-        let dmax = (self.cylinders - 1).max(1) as f64;
-        let smin = self.seek_min.as_secs_f64();
-        let smax = self.seek_max.as_secs_f64();
-        // a + b·√d with a = smin - b, b from the far endpoint.
-        let b = (smax - smin) / (dmax.sqrt() - 1.0);
-        let a = smin - b;
-        SimDuration::from_secs_f64(a + b * d.sqrt())
-    }
-
-    /// Service time for a request of `bytes` at `offset`, with the head
-    /// currently over the cylinder of `head_at` (`None` = already on
-    /// cylinder, sequential continuation: no seek, no rotational delay).
-    pub fn service_time(&self, head_at: Option<u64>, offset: u64, bytes: u64) -> SimDuration {
-        let transfer = SimDuration::from_secs_f64(bytes as f64 / self.transfer_bps());
-        match head_at {
-            None => self.overhead + transfer,
-            Some(prev) => {
-                let target = self.cylinder_of(offset);
-                let dist = prev.abs_diff(target);
-                // Average rotational latency: half a revolution whenever a
-                // seek (even track-to-track) breaks the stream.
-                let rot = SimDuration::from_secs_f64(self.revolution().as_secs_f64() / 2.0);
-                self.overhead + self.seek_time(dist) + rot + transfer
-            }
-        }
-    }
-}
+//! With an I/O queue depth above 1, each I/O node holds several
+//! outstanding commands and [`pick_command`] chooses which to dispatch
+//! next: a bounded-window elevator with a starvation bound
+//! ([`STARVATION_BOUND`]). The flat [`crate::config::DiskParams`] model
+//! prices whatever it picks.
 
 /// How many times a queued command may be bypassed by a younger command
 /// before the scheduler must dispatch it next (the starvation bound of
@@ -245,67 +133,6 @@ pub fn pick_command(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn g() -> DiskGeometry {
-        DiskGeometry::classic_1995()
-    }
-
-    #[test]
-    fn capacity_is_plausible() {
-        let cap = g().capacity();
-        assert!((1 << 30..8u64 << 30).contains(&cap), "{cap}");
-    }
-
-    #[test]
-    fn seek_curve_is_monotone_and_pinned() {
-        let d = g();
-        assert_eq!(d.seek_time(0), SimDuration::ZERO);
-        let s1 = d.seek_time(1);
-        assert_eq!(s1, d.seek_min);
-        let sfull = d.seek_time(d.cylinders - 1);
-        let err = sfull.as_secs_f64() - d.seek_max.as_secs_f64();
-        assert!(err.abs() < 1e-9, "full stroke {sfull} vs {}", d.seek_max);
-        let mut prev = SimDuration::ZERO;
-        for dist in [0u64, 1, 10, 100, 1000, 2699] {
-            let s = d.seek_time(dist);
-            assert!(s >= prev, "seek must be monotone at {dist}");
-            prev = s;
-        }
-    }
-
-    #[test]
-    fn short_seeks_are_much_cheaper_than_full_stroke() {
-        let d = g();
-        assert!(d.seek_time(2699) > d.seek_time(1).max(SimDuration(1)) * 10);
-    }
-
-    #[test]
-    fn sequential_requests_skip_seek_and_rotation() {
-        let d = g();
-        let seq = d.service_time(None, 0, 48 << 10);
-        let random = d.service_time(Some(2000), 0, 48 << 10);
-        assert!(random > seq + SimDuration::from_millis(5));
-        // Sequential = overhead + one revolution for a full track.
-        let expect = d.overhead + d.revolution();
-        let diff = seq.as_secs_f64() - expect.as_secs_f64();
-        assert!(diff.abs() < 1e-9, "{seq} vs {expect}");
-    }
-
-    #[test]
-    fn transfer_rate_matches_rpm_and_track_size() {
-        let d = g();
-        // 48 KB per revolution at 5400 RPM = 90 rev/s → ~4.3 MB/s.
-        let bps = d.transfer_bps();
-        assert!((4.0e6..4.6e6).contains(&bps), "{bps}");
-    }
-
-    #[test]
-    fn cylinder_mapping_wraps() {
-        let d = g();
-        assert_eq!(d.cylinder_of(0), 0);
-        assert_eq!(d.cylinder_of(d.cylinder_bytes()), 1);
-        assert_eq!(d.cylinder_of(d.capacity()), 0); // wrap
-    }
 
     fn cmd(uid: u64, offset: u64, seq: u64) -> CommandView {
         CommandView {

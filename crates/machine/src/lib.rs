@@ -32,8 +32,6 @@ pub use config::{
     CacheParams, CachePolicy, CpuParams, DiskParams, Interface, InterfaceCosts, MachineConfig,
     MeshDims, NetParams,
 };
-pub use disk::{
-    elevator_rank, pick_command, CommandView, DiskGeometry, SchedDecision, STARVATION_BOUND,
-};
+pub use disk::{elevator_rank, pick_command, CommandView, SchedDecision, STARVATION_BOUND};
 pub use machine::Machine;
 pub use topology::{Coord, Topology};

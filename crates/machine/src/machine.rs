@@ -144,9 +144,8 @@ impl Machine {
 
     /// Disk service time with head-position awareness: `prev_end` is the
     /// node's previous access end offset on the same file (`None` = cold
-    /// head or other file at offset 0). Uses the geometric model when the
-    /// machine has one, else the flat model with a seek whenever the
-    /// request is discontiguous.
+    /// head or other file at offset 0). The flat model charges a seek
+    /// whenever the request is discontiguous.
     pub fn disk_service_positioned(
         &self,
         io: usize,
@@ -155,18 +154,7 @@ impl Machine {
         bytes: u64,
     ) -> SimDuration {
         let sequential = prev_end == Some(offset);
-        let t = match &self.cfg.disk_geometry {
-            None => self.cfg.disk.service_time(bytes, !sequential),
-            Some(geo) => {
-                let head_at = if sequential {
-                    None
-                } else {
-                    Some(geo.cylinder_of(prev_end.unwrap_or(0)))
-                };
-                geo.service_time(head_at, offset, bytes)
-            }
-        };
-        self.apply_speed(io, t)
+        self.apply_speed(io, self.cfg.disk.service_time(bytes, !sequential))
     }
 
     /// Disk service time for one multi-run command at I/O node `io`:
@@ -345,25 +333,6 @@ mod tests {
         let merged = m.disk_service_runs(0, Some(0), &[(0, 2048)]);
         let split = m.disk_service_runs(0, Some(0), &[(0, 1024), (1024, 1024)]);
         assert_eq!(split, merged);
-    }
-
-    #[test]
-    fn geometric_model_prices_seek_distance() {
-        use crate::disk::DiskGeometry;
-        let sim = Sim::new();
-        let cfg = presets::paragon_small().with_disk_geometry(DiskGeometry::classic_1995());
-        let m = Machine::new(sim.handle(), cfg);
-        let geo = DiskGeometry::classic_1995();
-        let near = m.disk_service_positioned(0, Some(0), geo.cylinder_bytes(), 4096);
-        let far =
-            m.disk_service_positioned(0, Some(0), geo.cylinder_bytes() * (geo.cylinders - 1), 4096);
-        assert!(
-            far > near + SimDuration::from_millis(5),
-            "full-stroke {far} should dwarf track-to-track {near}"
-        );
-        // Sequential continuation skips seek and rotation entirely.
-        let seq = m.disk_service_positioned(0, Some(8192), 8192, 4096);
-        assert!(seq < near);
     }
 
     #[test]

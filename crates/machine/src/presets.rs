@@ -100,7 +100,6 @@ pub fn paragon_large() -> MachineConfig {
         passion: paragon_passion(),
         io_queue_depth: 1,
         io_node_speed: Vec::new(),
-        disk_geometry: None,
         cache: CacheParams::none(),
     }
 }
@@ -177,7 +176,6 @@ pub fn sp2() -> MachineConfig {
         passion: sp2_passion(),
         io_queue_depth: 1,
         io_node_speed: Vec::new(),
-        disk_geometry: None,
         cache: CacheParams::none(),
     }
 }
@@ -237,7 +235,6 @@ pub fn modern_cluster() -> MachineConfig {
         },
         io_queue_depth: 1,
         io_node_speed: Vec::new(),
-        disk_geometry: None,
         cache: CacheParams::none(),
     }
 }

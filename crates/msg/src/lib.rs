@@ -14,9 +14,7 @@
 //! all-reduce) are built from point-to-point operations, so their cost
 //! emerges from the same network model the applications see.
 
-pub mod codec;
 pub mod collective;
 pub mod comm;
-pub mod tree;
 
 pub use comm::{Comm, MatchSrc, Payload, World};

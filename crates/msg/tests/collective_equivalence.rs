@@ -6,10 +6,16 @@
 //! message-at-a-time schedule, written here as a reference from
 //! point-to-point `send`/`recv` loops.
 //!
+//! Each return value must also honour its collective's contract:
+//! broadcast replicates the root's payload, gather and all-gather
+//! collect every rank's payload in rank order, and all-to-all is a
+//! transpose.
+//!
 //! The cases are drawn from seeded `SimRng`s: world sizes 1, 2, 3, 5, 16
 //! and 17, a random sequence of collectives with random per-rank start
 //! skews before each, zero-length, synthetic and real-byte payloads, and
-//! mesh-link contention off and on.
+//! mesh-link contention off and on. `allreduce_sum` has no batched form;
+//! a drawn test checks that its integer sums are exact.
 
 use iosim_machine::{presets, Machine};
 use iosim_msg::{Comm, MatchSrc, Payload, World};
@@ -237,6 +243,21 @@ fn run(case: &Case, reference: bool) -> (Vec<Vec<StepOutcome>>, Vec<NicStats>) {
     (outcomes, nics)
 }
 
+/// What rank `rank` must get back from step `step` of `case`, by the
+/// collective's contract alone.
+fn contract(case: &Case, step: usize, rank: usize) -> Vec<Payload> {
+    let sent = &case.payloads[step];
+    let firsts = || (0..case.n).map(|r| sent[r][0].clone()).collect();
+    match case.ops[step] {
+        Op::Barrier => Vec::new(),
+        Op::Bcast(root) => vec![sent[root][0].clone()],
+        Op::Gather(root) if rank == root => firsts(),
+        Op::Gather(_) => Vec::new(),
+        Op::Allgather => firsts(),
+        Op::Alltoallv => (0..case.n).map(|src| sent[src][rank].clone()).collect(),
+    }
+}
+
 fn check(contention: bool) {
     let mut messages = 0u64;
     for seed in 0..SEEDS {
@@ -254,6 +275,11 @@ fn check(contention: bool) {
                     let ((gv, gt), (wv, wt)) = (&got[rank][step], &want[rank][step]);
                     assert_eq!(gv, wv, "{tag}: return value differs");
                     assert_eq!(gt, wt, "{tag}: completion instant differs");
+                    assert_eq!(
+                        gv,
+                        &contract(&case, step, rank),
+                        "{tag}: breaks the collective's contract"
+                    );
                 }
                 assert_eq!(
                     got_nics[rank], want_nics[rank],
@@ -275,4 +301,36 @@ fn batched_collectives_match_point_to_point_loops() {
 #[test]
 fn collectives_under_link_contention_match_point_to_point_loops() {
     check(true);
+}
+
+#[test]
+fn allreduce_sum_is_exact_for_drawn_integers() {
+    for seed in 0..SEEDS * 2 {
+        let mut rng = SimRng::seed_from(0xa11_0000 + seed);
+        let n = rng.range(2, 7) as usize;
+        let values: Vec<i64> = (0..n).map(|_| rng.range(0, 2_000) as i64 - 1_000).collect();
+        let want = values.iter().sum::<i64>() as f64;
+        let mut sim = Sim::new();
+        let m = Machine::new(sim.handle(), presets::paragon_large());
+        let w = World::new(m, n);
+        let h = sim.handle();
+        let ranks: Vec<_> = w
+            .comms()
+            .into_iter()
+            .map(|c| {
+                let v = values[c.rank()] as f64;
+                async move { c.allreduce_sum(v).await }
+            })
+            .collect();
+        let jh = sim.spawn(async move { join_all(&h, ranks).await });
+        sim.run();
+        for (rank, got) in jh
+            .try_take()
+            .expect("every rank completed")
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(got, want, "seed {seed}, {n} ranks, rank {rank}: {values:?}");
+        }
+    }
 }

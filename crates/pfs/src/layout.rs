@@ -170,6 +170,7 @@ impl ExactSizeIterator for RunIter {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosim_simkit::rng::SimRng;
 
     #[test]
     fn single_unit_request_hits_one_node() {
@@ -348,70 +349,69 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "heavy-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Seeds per drawn striping property; each failure names its seed.
+    const DRAWS: u64 = 2_000;
 
-        proptest! {
-        #[test]
-        fn runs_cover_exactly_len(
-            unit in 1u64..256,
-            factor in 1usize..9,
-            start in 0usize..8,
-            offset in 0u64..10_000,
-            len in 0u64..10_000,
-        ) {
-            let start = start % factor;
+    #[test]
+    fn drawn_runs_cover_exactly_len_with_one_run_per_node() {
+        for seed in 0x1a70_1000..0x1a70_1000 + DRAWS {
+            let mut rng = SimRng::seed_from(seed);
+            let unit = rng.range(1, 256);
+            let factor = rng.range(1, 9) as usize;
+            let start = rng.range(0, factor as u64) as usize;
+            let (offset, len) = (rng.range(0, 10_000), rng.range(0, 10_000));
             let s = Striping::new(unit, factor, start);
             let runs: Vec<Run> = s.runs(offset, len).collect();
-            let total: u64 = runs.iter().map(|r| r.bytes).sum();
-            prop_assert_eq!(total, len);
-            // At most one run per node.
+            let tag = format!("seed {seed}: {s:?} [{offset}, +{len})");
+            assert_eq!(runs.iter().map(|r| r.bytes).sum::<u64>(), len, "{tag}");
             let mut nodes: Vec<usize> = runs.iter().map(|r| r.io_node).collect();
             nodes.sort_unstable();
             nodes.dedup();
-            prop_assert_eq!(nodes.len(), runs.len());
+            assert_eq!(nodes.len(), runs.len(), "{tag}: two runs on one node");
         }
+    }
 
-        #[test]
-        fn adjacent_requests_have_adjacent_local_offsets(
-            unit in 1u64..128,
-            factor in 1usize..5,
-            offset in 0u64..5_000,
-            len in 1u64..2_000,
-        ) {
-            // Reading [offset, offset+len) then [offset+len, …) must
-            // continue each node's fragment without gaps: the second
-            // request's run on a node starts exactly at the end of the
-            // first request's run when that node had one ending at a unit
-            // boundary shared by both.
+    #[test]
+    fn drawn_follow_on_requests_move_each_node_forward() {
+        // Reading [offset, offset + len) then the bytes after it: every
+        // node the second request touches continues at or past where
+        // the first request's run on that node started.
+        for seed in 0x1a70_2000..0x1a70_2000 + DRAWS {
+            let mut rng = SimRng::seed_from(seed);
+            let unit = rng.range(1, 128);
+            let factor = rng.range(1, 5) as usize;
+            let (offset, len) = (rng.range(0, 5_000), rng.range(1, 2_000));
             let s = Striping::new(unit, factor, 0);
             let a: Vec<Run> = s.runs(offset, len).collect();
-            let b: Vec<Run> = s.runs(offset + len, len.max(unit * factor as u64)).collect();
+            let b: Vec<Run> = s
+                .runs(offset + len, len.max(unit * factor as u64))
+                .collect();
             for rb in &b {
                 if let Some(ra) = a.iter().find(|r| r.io_node == rb.io_node) {
-                    prop_assert!(rb.local_offset >= ra.local_offset,
-                        "fragment must move forward: {:?} then {:?}", ra, rb);
+                    assert!(
+                        rb.local_offset >= ra.local_offset,
+                        "seed {seed}: {s:?} [{offset}, +{len}): {ra:?} then {rb:?}"
+                    );
                 }
             }
         }
+    }
 
-        #[test]
-        fn local_offset_is_monotone_per_node(
-            unit in 1u64..128,
-            factor in 1usize..6,
-            a in 0u64..100_000,
-            b in 0u64..100_000,
-        ) {
+    #[test]
+    fn drawn_local_offsets_are_monotone_per_node() {
+        for seed in 0x1a70_3000..0x1a70_3000 + DRAWS {
+            let mut rng = SimRng::seed_from(seed);
+            let unit = rng.range(1, 128);
+            let factor = rng.range(1, 6) as usize;
+            let (a, b) = (rng.range(0, 100_000), rng.range(0, 100_000));
             let s = Striping::new(unit, factor, 0);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let u_lo = lo / unit;
-            let u_hi = hi / unit;
-            if s.node_of_unit(u_lo) == s.node_of_unit(u_hi) {
-                prop_assert!(s.local_offset(lo) <= s.local_offset(hi));
+            let (lo, hi) = (a.min(b), a.max(b));
+            if s.node_of_unit(lo / unit) == s.node_of_unit(hi / unit) {
+                assert!(
+                    s.local_offset(lo) <= s.local_offset(hi),
+                    "seed {seed}: {s:?} offsets {lo} and {hi}"
+                );
             }
-        }
         }
     }
 }

@@ -28,11 +28,9 @@ mod cmdq;
 pub mod extent;
 pub mod fs;
 pub mod layout;
-pub mod modes;
 pub mod request;
 
 pub use extent::ExtentTree;
 pub use fs::{Content, CreateOptions, FileHandle, FileSystem, FsError, STORED_FILE_CAP};
 pub use layout::{Run, RunIter, Striping};
-pub use modes::{GlobalFile, GlobalState, LogCursor, LogFile, RecordFile, SyncFile};
 pub use request::IoRequest;

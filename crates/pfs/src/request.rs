@@ -48,24 +48,6 @@ impl IoRequest {
         IoRequest::from_extents((0..count).map(|k| (start + k * stride, frag_len)).collect())
     }
 
-    /// `count` records of a block-cyclic distribution: record `k`
-    /// (for `k` in `first..first + count`) of the round-robin slot
-    /// `slot` out of `slots`, each record `record_len` bytes — the
-    /// layout of [`crate::modes::RecordFile`].
-    pub fn block_cyclic(
-        record_len: u64,
-        slot: u64,
-        slots: u64,
-        first: u64,
-        count: u64,
-    ) -> IoRequest {
-        IoRequest::from_extents(
-            (first..first + count)
-                .map(|k| ((k * slots + slot) * record_len, record_len))
-                .collect(),
-        )
-    }
-
     /// An arbitrary extent list, in scatter-gather order. Zero-length
     /// extents are filtered out; overlapping extents are kept verbatim
     /// (see the type-level docs for their deterministic semantics).
@@ -157,17 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn block_cyclic_matches_record_layout() {
-        // slot 1 of 3, records 2..4, 100-byte records:
-        // record k lives at (k*3 + 1) * 100.
-        let r = IoRequest::block_cyclic(100, 1, 3, 2, 2);
-        assert_eq!(r.extents(), &[(700, 100), (1000, 100)]);
-        // One slot of one: degenerates to a contiguous run.
-        let solo = IoRequest::block_cyclic(64, 0, 1, 0, 4);
-        assert_eq!(solo.coalesced(), vec![(0, 256)]);
-    }
-
-    #[test]
     fn coalesced_merges_adjacent_overlapping_and_reorders() {
         let r = IoRequest::from_extents(vec![(40, 10), (0, 10), (10, 5), (45, 10), (100, 1)]);
         assert_eq!(r.coalesced(), vec![(0, 15), (40, 15), (100, 1)]);
@@ -192,7 +163,6 @@ mod tests {
         assert_eq!(r.fragments(), 2);
         // Zero-length fragments of a strided pattern vanish entirely.
         assert!(IoRequest::strided(0, 0, 16, 8).is_empty());
-        assert!(IoRequest::block_cyclic(0, 1, 3, 0, 5).is_empty());
         // An all-empty list has a well-defined end.
         assert_eq!(IoRequest::from_extents(vec![(100, 0)]).end(), 0);
     }

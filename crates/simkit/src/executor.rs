@@ -631,43 +631,6 @@ impl Future for Sleep {
     }
 }
 
-/// Await `fut` with a virtual-time deadline: `Some(output)` if it
-/// completes within `dur`, `None` otherwise. The future is spawned, so on
-/// timeout it keeps running detached (like an abandoned I/O request);
-/// callers that need cancellation should check a flag inside the future.
-pub async fn with_timeout<T: 'static>(
-    handle: &SimHandle,
-    dur: SimDuration,
-    fut: impl Future<Output = T> + 'static,
-) -> Option<T> {
-    let deadline = handle.now() + dur;
-    let jh = handle.spawn(fut);
-    // Poll the join handle against the deadline via a race future.
-    struct Race<T> {
-        jh: JoinHandle<T>,
-        sleep: Sleep,
-    }
-    impl<T> Future for Race<T> {
-        type Output = Option<T>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-            // All fields are Unpin, so the struct is too.
-            let this = self.get_mut();
-            if let Poll::Ready(v) = Pin::new(&mut this.jh).poll(cx) {
-                return Poll::Ready(Some(v));
-            }
-            if Pin::new(&mut this.sleep).poll(cx).is_ready() {
-                return Poll::Ready(None);
-            }
-            Poll::Pending
-        }
-    }
-    Race {
-        jh,
-        sleep: handle.sleep_until(deadline),
-    }
-    .await
-}
-
 /// Await every future in `futs` (spawned concurrently in virtual time) and
 /// collect their outputs in order.
 ///
@@ -865,41 +828,6 @@ mod tests {
             })
         });
         assert_eq!(order, vec![1, 2]);
-    }
-
-    #[test]
-    fn with_timeout_returns_some_when_fast() {
-        let (out, _) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let h2 = h.clone();
-                with_timeout(&h, SimDuration::from_secs(10), async move {
-                    h2.sleep(SimDuration::from_secs(1)).await;
-                    42
-                })
-                .await
-            })
-        });
-        assert_eq!(out, Some(42));
-    }
-
-    #[test]
-    fn with_timeout_returns_none_when_slow() {
-        let (out, end) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let h2 = h.clone();
-                let r = with_timeout(&h, SimDuration::from_secs(1), async move {
-                    h2.sleep(SimDuration::from_secs(10)).await;
-                    42
-                })
-                .await;
-                (r, h.now())
-            })
-        });
-        let (r, t) = out;
-        assert_eq!(r, None);
-        assert_eq!(t, SimTime(1_000_000_000));
-        // The abandoned future still runs to completion.
-        assert_eq!(end, SimTime(10_000_000_000));
     }
 
     #[test]

@@ -49,10 +49,10 @@ pub mod timerheap;
 
 /// Convenient glob import of the common types.
 pub mod prelude {
-    pub use crate::executor::{join_all, with_timeout, JoinHandle, Sim, SimHandle};
+    pub use crate::executor::{join_all, JoinHandle, Sim, SimHandle};
     pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::resource::{Resource, ResourceStats};
     pub use crate::rng::SimRng;
-    pub use crate::sync::{channel, Barrier, Event, Receiver, Semaphore, Sender, Turnstile};
+    pub use crate::sync::{channel, Event, Receiver, Sender};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -1,5 +1,5 @@
-//! Synchronization primitives in virtual time: channels, barriers,
-//! semaphores and one-shot events.
+//! Synchronization primitives in virtual time: channels and one-shot
+//! events.
 //!
 //! All primitives are single-threaded (`Rc`-based) and deterministic:
 //! waiters are released in FIFO order of their first poll. None of them
@@ -128,236 +128,6 @@ impl<T> Future for Recv<'_, T> {
     }
 }
 
-struct BarrierInner {
-    arrived: usize,
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-/// A cyclic barrier for `n` virtual-time tasks.
-#[derive(Clone)]
-pub struct Barrier {
-    n: usize,
-    inner: Rc<RefCell<BarrierInner>>,
-}
-
-impl Barrier {
-    /// Create a barrier for `n` participants.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Barrier {
-        assert!(n > 0, "barrier must have at least one participant");
-        Barrier {
-            n,
-            inner: Rc::new(RefCell::new(BarrierInner {
-                arrived: 0,
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
-    /// Wait until all `n` participants have called `wait`. Returns `true`
-    /// for exactly one participant per cycle (the last to arrive).
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            barrier: self.clone(),
-            generation: None,
-        }
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    barrier: Barrier,
-    generation: Option<u64>,
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = &mut *self;
-        let barrier_inner = Rc::clone(&this.barrier.inner);
-        let mut inner = barrier_inner.borrow_mut();
-        match this.generation {
-            None => {
-                // First poll: arrive.
-                inner.arrived += 1;
-                if inner.arrived == this.barrier.n {
-                    inner.arrived = 0;
-                    inner.generation += 1;
-                    for w in inner.wakers.drain(..) {
-                        w.wake();
-                    }
-                    Poll::Ready(true)
-                } else {
-                    this.generation = Some(inner.generation);
-                    inner.wakers.push(cx.waker().clone());
-                    Poll::Pending
-                }
-            }
-            Some(gen) => {
-                if inner.generation != gen {
-                    Poll::Ready(false)
-                } else {
-                    inner.wakers.push(cx.waker().clone());
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-struct SemInner {
-    permits: usize,
-    waiters: VecDeque<Waker>,
-}
-
-/// A counting semaphore in virtual time. Acquisitions are granted in FIFO
-/// wake order.
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<RefCell<SemInner>>,
-}
-
-impl Semaphore {
-    /// Create a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            inner: Rc::new(RefCell::new(SemInner {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Acquire one permit, waiting if none is available.
-    pub fn acquire(&self) -> Acquire {
-        Acquire {
-            sem: self.clone(),
-            queued: false,
-        }
-    }
-
-    /// Release one permit and wake the longest-waiting acquirer.
-    pub fn release(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.permits += 1;
-        if let Some(w) = inner.waiters.pop_front() {
-            w.wake();
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.inner.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
-    queued: bool,
-}
-
-impl Future for Acquire {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let mut inner = this.sem.inner.borrow_mut();
-        if inner.permits > 0 {
-            inner.permits -= 1;
-            Poll::Ready(())
-        } else {
-            // Re-queue on every poll; stale wakers are woken spuriously and
-            // simply re-queue, preserving FIFO order among live waiters.
-            inner.waiters.push_back(cx.waker().clone());
-            this.queued = true;
-            Poll::Pending
-        }
-    }
-}
-
-struct TurnstileInner {
-    turn: usize,
-    wakers: Vec<Waker>,
-}
-
-/// A round-robin turnstile for `n` participants: participant `k` may
-/// proceed only on its turn; [`Turnstile::advance`] passes the turn to
-/// `k + 1 (mod n)`. Deterministic total ordering for "synchronized mode"
-/// style protocols.
-#[derive(Clone)]
-pub struct Turnstile {
-    n: usize,
-    inner: Rc<RefCell<TurnstileInner>>,
-}
-
-impl Turnstile {
-    /// Create a turnstile for `n` participants; participant 0 goes first.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Turnstile {
-        assert!(n > 0, "turnstile needs at least one participant");
-        Turnstile {
-            n,
-            inner: Rc::new(RefCell::new(TurnstileInner {
-                turn: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Whose turn it is.
-    pub fn turn(&self) -> usize {
-        self.inner.borrow().turn
-    }
-
-    /// Wait until it is `who`'s turn.
-    pub fn wait_turn(&self, who: usize) -> TurnWait {
-        assert!(who < self.n, "participant {who} out of range");
-        TurnWait {
-            ts: self.clone(),
-            who,
-        }
-    }
-
-    /// Pass the turn to the next participant and wake the waiters.
-    pub fn advance(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.turn = (inner.turn + 1) % self.n;
-        for w in inner.wakers.drain(..) {
-            w.wake();
-        }
-    }
-}
-
-/// Future returned by [`Turnstile::wait_turn`].
-pub struct TurnWait {
-    ts: Turnstile,
-    who: usize,
-}
-
-impl Future for TurnWait {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.ts.inner.borrow_mut();
-        if inner.turn == self.who {
-            Poll::Ready(())
-        } else {
-            inner.wakers.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 struct EventInner<T> {
     value: Option<T>,
     wakers: Vec<Waker>,
@@ -437,7 +207,7 @@ impl<T: Clone> Future for EventWait<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{join_all, Sim};
+    use crate::executor::Sim;
     use crate::time::{SimDuration, SimTime};
 
     #[test]
@@ -503,119 +273,6 @@ mod tests {
             })
         });
         assert_eq!(out, None);
-    }
-
-    #[test]
-    fn barrier_synchronizes_tasks() {
-        let (times, _) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let bar = Barrier::new(3);
-                let futs: Vec<_> = (0..3u64)
-                    .map(|i| {
-                        let h = h.clone();
-                        let bar = bar.clone();
-                        async move {
-                            h.sleep(SimDuration::from_secs(i + 1)).await;
-                            bar.wait().await;
-                            h.now()
-                        }
-                    })
-                    .collect();
-                join_all(&h, futs).await
-            })
-        });
-        // All resume when the slowest (3 s) arrives.
-        assert!(times.iter().all(|&t| t == SimTime(3_000_000_000)));
-    }
-
-    #[test]
-    fn barrier_is_cyclic() {
-        let (rounds, _) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let bar = Barrier::new(2);
-                let futs: Vec<_> = (0..2u64)
-                    .map(|i| {
-                        let h = h.clone();
-                        let bar = bar.clone();
-                        async move {
-                            let mut at = Vec::new();
-                            for round in 0..3u64 {
-                                h.sleep(SimDuration::from_secs((i + 1) * (round + 1))).await;
-                                bar.wait().await;
-                                at.push(h.now());
-                            }
-                            at
-                        }
-                    })
-                    .collect();
-                join_all(&h, futs).await
-            })
-        });
-        assert_eq!(rounds[0], rounds[1]);
-        // Rounds strictly increase.
-        assert!(rounds[0][0] < rounds[0][1] && rounds[0][1] < rounds[0][2]);
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let (ends, _) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let sem = Semaphore::new(2);
-                let futs: Vec<_> = (0..4)
-                    .map(|_| {
-                        let h = h.clone();
-                        let sem = sem.clone();
-                        async move {
-                            sem.acquire().await;
-                            h.sleep(SimDuration::from_secs(1)).await;
-                            sem.release();
-                            h.now()
-                        }
-                    })
-                    .collect();
-                join_all(&h, futs).await
-            })
-        });
-        let secs: Vec<u64> = ends.iter().map(|t| t.as_nanos() / 1_000_000_000).collect();
-        assert_eq!(secs, vec![1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn turnstile_orders_participants_round_robin() {
-        let (log, _) = Sim::run_to_completion(|h| {
-            Box::pin(async move {
-                let ts = Turnstile::new(3);
-                let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-                let futs: Vec<_> = (0..3usize)
-                    .map(|who| {
-                        let ts = ts.clone();
-                        let log = std::rc::Rc::clone(&log);
-                        let h = h.clone();
-                        async move {
-                            for round in 0..2 {
-                                // Arrive out of order on purpose.
-                                h.sleep(SimDuration::from_millis(((2 - who) * 7 + round) as u64))
-                                    .await;
-                                ts.wait_turn(who).await;
-                                log.borrow_mut().push(who);
-                                ts.advance();
-                            }
-                        }
-                    })
-                    .collect();
-                join_all(&h, futs).await;
-                let order = log.borrow().clone();
-                order
-            })
-        });
-        assert_eq!(log, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn turnstile_rejects_out_of_range() {
-        let ts = Turnstile::new(2);
-        drop(ts.wait_turn(2));
     }
 
     #[test]

@@ -138,11 +138,17 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
+/// Message of the panic raised when a subtraction would go below zero:
+/// clamping would silently hide an ordering bug, in release builds as
+/// well as debug ones. [`SimTime::since`] and
+/// [`SimDuration::saturating_sub`] are the explicit clamps.
+const NEGATIVE: &str = "negative virtual interval";
+
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
+        SimDuration(self.0.checked_sub(rhs.0).expect(NEGATIVE))
     }
 }
 
@@ -170,14 +176,14 @@ impl Sub for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
+        SimDuration(self.0.checked_sub(rhs.0).expect(NEGATIVE))
     }
 }
 
 impl SubAssign for SimDuration {
     #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
-        self.0 = self.0.saturating_sub(rhs.0);
+        *self = *self - rhs;
     }
 }
 
@@ -266,9 +272,31 @@ mod tests {
     fn saturating_ops() {
         let a = SimDuration::from_secs(1);
         let b = SimDuration::from_secs(2);
-        assert_eq!(a - b, SimDuration::ZERO);
-        assert_eq!(b - a, SimDuration::from_secs(1));
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
+        assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
+        assert_eq!(b - a, SimDuration::from_secs(1));
+        let mut c = b;
+        c -= a;
+        assert_eq!(c, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "negative virtual interval")]
+    fn duration_sub_panics_when_negative() {
+        let _ = SimDuration::from_secs(1) - SimDuration::from_secs(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative virtual interval")]
+    fn duration_sub_assign_panics_when_negative() {
+        let mut d = SimDuration::from_secs(1);
+        d -= SimDuration::from_secs(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative virtual interval")]
+    fn time_sub_panics_when_negative() {
+        let _ = SimTime(5) - SimTime(6);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! discrete-event model of 1990s message-passing machines (Intel Paragon,
 //! IBM SP-2) with striped parallel file systems, a PASSION-style parallel
 //! I/O optimization runtime (two-phase collective I/O, prefetching, file
-//! layout selection, packed interfaces, balanced I/O), and the paper's
-//! five applications (SCF 1.1, SCF 3.0, out-of-core FFT, BTIO, AST).
+//! layout selection, balanced I/O, the efficient interface), and the
+//! paper's five applications (SCF 1.1, SCF 3.0, out-of-core FFT, BTIO, AST).
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use iosim_bench::advisor::{AdviseOpts, BatchAdvisor, Query};
     pub use iosim_core::{
         read_collective, write_collective, write_collective_batched, FileLayout, HintGrid, Hints,
-        OocArray, PackedWriter, Piece, Prefetcher, SemiDirect, Span,
+        OocArray, Piece, Prefetcher, SemiDirect, Span,
     };
     pub use iosim_machine::{presets, Interface, Machine, MachineConfig};
     pub use iosim_msg::{Comm, MatchSrc, Payload, World};

@@ -77,6 +77,19 @@ for mode in direct list twophase; do
   }
 done
 
+echo "== examples (all of them, under a second in total) =="
+# Every example under examples/ must run to completion. Two also check
+# their own output and panic when it is wrong: checkpoint_two_phase
+# (byte-identical checkpoint files) and rollback_recovery (bit-exact
+# recovery).
+for ex in examples/*.rs; do
+  name="$(basename "$ex" .rs)"
+  cargo run --release --offline -q --example "$name" >/dev/null || {
+    echo "example $name failed"
+    exit 1
+  }
+done
+
 echo "== EXPERIMENTS.md matches what repro writes =="
 # Regenerates every paper table and extension into a temp file and diffs
 # it against the committed EXPERIMENTS.md, so a change that moves any
