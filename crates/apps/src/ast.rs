@@ -162,12 +162,6 @@ pub fn run_capture(cfg: &AstConfig) -> (RunResult, BytesList) {
     (res, out)
 }
 
-/// Run one rank's AST program against an externally built context — for
-/// studies on customized machines.
-pub async fn rank_program_on(ctx: AppCtx, cfg: AstConfig) {
-    rank_program(ctx, cfg).await;
-}
-
 async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
     let g = cfg.grid;
     let q = (cfg.procs as f64).sqrt() as u64;

@@ -214,13 +214,10 @@ pub fn run_capture(cfg: &BtioConfig) -> (RunResult, BytesList) {
     (res, b)
 }
 
-/// Run one rank's BTIO program against an externally built context — for
-/// studies on customized machines.
-pub async fn rank_program_on(ctx: AppCtx, cfg: BtioConfig) {
-    rank_program(ctx, cfg).await;
-}
-
-async fn rank_program(ctx: AppCtx, cfg: BtioConfig) {
+/// One rank's BTIO program. [`run`] runs it on every rank of the
+/// configured machine; studies on customized machines call it from
+/// their own [`run_ranks`].
+pub async fn rank_program(ctx: AppCtx, cfg: BtioConfig) {
     let n = cfg.class.n();
     let q = (cfg.procs as f64).sqrt() as u64;
     let (i, j) = ((ctx.rank as u64) % q, (ctx.rank as u64) / q);

@@ -162,14 +162,10 @@ async fn open_arrays(ctx: &AppCtx, cfg: &FftConfig) -> (OocArray, OocArray) {
     (a, b)
 }
 
-/// Run one rank's FFT program against an externally built context — for
-/// ablations that need a customized machine (e.g. a modified seek
-/// penalty) while keeping the application unchanged.
-pub async fn rank_program_on(ctx: AppCtx, cfg: FftConfig) {
-    rank_program(ctx, cfg).await;
-}
-
-async fn rank_program(ctx: AppCtx, cfg: FftConfig) {
+/// One rank's FFT program. [`run`] runs it on every rank of the
+/// configured machine; ablations that need a customized machine (e.g. a
+/// modified seek penalty) call it from their own [`run_ranks`].
+pub async fn rank_program(ctx: AppCtx, cfg: FftConfig) {
     let n = cfg.n;
     let (c_lo, c_hi) = cfg.owned_cols(ctx.rank);
     let own = c_hi - c_lo;

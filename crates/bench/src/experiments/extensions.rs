@@ -424,7 +424,7 @@ pub fn ext_modern_hardware(scale: f64) -> ExperimentReport {
             run_ranks(mcfg, 4, move |ctx| {
                 let cfg = cfg.clone();
                 Box::pin(async move {
-                    iosim_apps::fft::rank_program_on(ctx, cfg).await;
+                    iosim_apps::fft::rank_program(ctx, cfg).await;
                 })
             })
             .exec_time
@@ -448,7 +448,7 @@ pub fn ext_modern_hardware(scale: f64) -> ExperimentReport {
             run_ranks(mcfg, 9, move |ctx| {
                 let cfg = cfg.clone();
                 Box::pin(async move {
-                    iosim_apps::btio::rank_program_on(ctx, cfg).await;
+                    iosim_apps::btio::rank_program(ctx, cfg).await;
                 })
             })
             .exec_time

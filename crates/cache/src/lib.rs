@@ -21,9 +21,12 @@
 //! - **Sequential read-ahead.** When a file is read sequentially, the
 //!   next `read_ahead_blocks` blocks are fetched speculatively after the
 //!   demand miss; a later request overlapping an in-flight prefetch
-//!   waits only for its completion (and is counted as a read-ahead hit).
-//! - **List-I/O requests.** The PFS vectored service path hands a whole
-//!   per-node extent list to [`BufferCache::read_extents`] /
+//!   waits only for its completion. A prefetched block counts as one
+//!   read-ahead hit on its first demand read, landed or not, so hits
+//!   never exceed the blocks issued.
+//! - **Extent lists.** The PFS hands each I/O node its share of a
+//!   request as a sorted list of local extents (one extent for a
+//!   contiguous access) to [`BufferCache::read_extents`] /
 //!   [`BufferCache::write_extents`], served in one pass: one hit scan
 //!   over the union of touched blocks, one coalesced miss set, and the
 //!   lookup overhead plus memory copy paid once per request.
@@ -56,13 +59,29 @@ pub use lru::LruSlab;
 /// I/O node's local byte space).
 type BlockKey = (u64, u64);
 
-/// State of one I/O node's cache. A slab entry's value is the block's
-/// `ready_at` instant: when its contents are available in cache memory
-/// (later than "now" only while a fetch or prefetch is still in
-/// flight); the dirty flag lives in the slab too.
+/// A resident block: when its contents are available in cache memory
+/// (later than "now" only while a fetch or prefetch is still in flight)
+/// and whether read-ahead brought it in and no demand read has used it
+/// yet. The dirty flag lives in the slab.
+#[derive(Clone, Copy)]
+struct Resident {
+    ready_at: SimTime,
+    read_ahead: bool,
+}
+
+impl Resident {
+    fn at(ready_at: SimTime) -> Resident {
+        Resident {
+            ready_at,
+            read_ahead: false,
+        }
+    }
+}
+
+/// State of one I/O node's cache.
 #[derive(Default)]
 struct NodeCache {
-    lru: LruSlab<BlockKey, SimTime>,
+    lru: LruSlab<BlockKey, Resident>,
     /// Disk head tracking for cache-issued transfers, mirroring the
     /// PFS convention: end offset of the previous access per file.
     disk_pos: Option<(u64, u64)>,
@@ -233,18 +252,20 @@ impl BufferCache {
     }
 
     /// Insert (or refresh) a block, evicting as needed. Returns the
-    /// latest writeback completion among any dirty victims.
+    /// latest writeback completion among any dirty victims. A refresh is
+    /// a write over the block's contents, so it clears a read-ahead tag.
     fn insert_block(
         &self,
         n: &mut NodeCache,
         node: usize,
         key: BlockKey,
-        ready_at: SimTime,
+        block: Resident,
         dirty: bool,
         arrival: SimTime,
     ) -> Option<SimTime> {
         if let Some(b) = n.lru.value_mut(&key) {
-            *b = (*b).max(ready_at);
+            b.ready_at = b.ready_at.max(block.ready_at);
+            b.read_ahead &= block.read_ahead;
             if dirty {
                 n.lru.set_dirty(&key);
             }
@@ -257,7 +278,7 @@ impl BufferCache {
                 stall = Some(stall.map_or(end, |s: SimTime| s.max(end)));
             }
         }
-        n.lru.insert(key, ready_at, dirty);
+        n.lru.insert(key, block, dirty);
         stall
     }
 
@@ -293,26 +314,12 @@ impl BufferCache {
         }
     }
 
-    /// Serve a read of `[offset, offset + bytes)` in file `uid`'s local
-    /// byte space at I/O node `node`. Returns the completion time at the
-    /// I/O node (before the network response leg).
-    pub fn read(
-        self: &Rc<Self>,
-        node: usize,
-        uid: u64,
-        offset: u64,
-        bytes: u64,
-        arrival: SimTime,
-    ) -> SimTime {
-        self.read_extents(node, uid, &[(offset, bytes)], arrival)
-    }
-
-    /// Serve a list-I/O read of sorted, disjoint local extents of file
-    /// `uid` at I/O node `node` in **one pass**: one hit scan over the
-    /// union of the touched blocks, one coalesced miss set fetched from
-    /// the disk queue, and the lookup overhead plus memory copy paid
-    /// once on the request's total bytes. [`BufferCache::read`] is the
-    /// single-extent special case.
+    /// Serve a read of sorted, disjoint local extents of file `uid` at
+    /// I/O node `node` in **one pass**: one hit scan over the union of
+    /// the touched blocks, one coalesced miss set fetched from the disk
+    /// queue, and the lookup overhead plus memory copy paid once on the
+    /// request's total bytes. Returns the completion time at the I/O
+    /// node (before the network response leg).
     pub fn read_extents(
         self: &Rc<Self>,
         node: usize,
@@ -347,14 +354,16 @@ impl BufferCache {
         let mut ra_hits = 0u64;
         s.missing.clear();
         for &b in &s.blocks {
-            match n.lru.value(&(uid, b)).copied() {
-                Some(ready_at) => {
+            match n.lru.value_mut(&(uid, b)) {
+                Some(block) => {
                     hits += 1;
-                    if ready_at > arrival {
-                        // Still in flight (a read-ahead racing us):
-                        // wait for it rather than fetching again.
+                    // A block still in flight is waited for rather than
+                    // fetched again.
+                    done = done.max(block.ready_at);
+                    // A prefetched block scores once, on its first
+                    // demand read.
+                    if std::mem::take(&mut block.read_ahead) {
                         ra_hits += 1;
-                        done = done.max(ready_at);
                     }
                     n.lru.touch(&(uid, b));
                 }
@@ -369,7 +378,8 @@ impl BufferCache {
             let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
             done = done.max(end);
             for i in 0..e.count {
-                self.insert_block(n, node, (uid, e.first_block + i), end, false, arrival);
+                let key = (uid, e.first_block + i);
+                self.insert_block(n, node, key, Resident::at(end), false, arrival);
             }
         }
         self.counters.add_hits(hits);
@@ -393,8 +403,12 @@ impl BufferCache {
                     let off = e.first_block * self.block;
                     let len = e.count * self.block;
                     let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
+                    let block = Resident {
+                        ready_at: end,
+                        read_ahead: true,
+                    };
                     for i in 0..e.count {
-                        self.insert_block(n, node, (uid, e.first_block + i), end, false, arrival);
+                        self.insert_block(n, node, (uid, e.first_block + i), block, false, arrival);
                     }
                 }
             }
@@ -405,28 +419,13 @@ impl BufferCache {
         done + self.params.hit_overhead + self.mem_time(total)
     }
 
-    /// Serve a write of `[offset, offset + bytes)` in file `uid`'s local
-    /// byte space at I/O node `node`. Under write-behind the write
-    /// completes at memory speed and the blocks turn dirty; otherwise
-    /// the transfer is booked on the disk queue like the uncached path
-    /// (write-through), with the blocks cached clean for later reads.
-    pub fn write(
-        self: &Rc<Self>,
-        node: usize,
-        uid: u64,
-        offset: u64,
-        bytes: u64,
-        arrival: SimTime,
-    ) -> SimTime {
-        self.write_extents(node, uid, &[(offset, bytes)], arrival)
-    }
-
-    /// Serve a list-I/O write of sorted, disjoint local extents in one
-    /// pass. Under write-behind the lookup overhead and memory copy are
-    /// paid once on the request's total bytes and every touched block
+    /// Serve a write of sorted, disjoint local extents of file `uid` at
+    /// I/O node `node` in one pass. Under write-behind the write
+    /// completes at memory speed, the lookup overhead and memory copy
+    /// paid once on the request's total bytes, and every touched block
     /// turns dirty; write-through books each extent's exact byte range
-    /// on the disk queue, head-position aware. [`BufferCache::write`]
-    /// is the single-extent special case.
+    /// on the disk queue like the uncached path, head-position aware,
+    /// with the blocks cached clean for later reads.
     pub fn write_extents(
         self: &Rc<Self>,
         node: usize,
@@ -445,7 +444,7 @@ impl BufferCache {
                 let bytes = bytes.max(1);
                 let (_, end) = self.book_disk(&mut n, node, uid, offset, bytes, arrival);
                 for b in offset / self.block..=(offset + bytes - 1) / self.block {
-                    self.insert_block(&mut n, node, (uid, b), end, false, arrival);
+                    self.insert_block(&mut n, node, (uid, b), Resident::at(end), false, arrival);
                 }
                 done = done.max(end);
             }
@@ -457,7 +456,8 @@ impl BufferCache {
         let total = self.touched_blocks(extents, blocks);
         let mut done = arrival + self.params.hit_overhead + self.mem_time(total);
         for &b in blocks.iter() {
-            if let Some(stall) = self.insert_block(&mut n, node, (uid, b), done, true, arrival) {
+            let block = Resident::at(done);
+            if let Some(stall) = self.insert_block(&mut n, node, (uid, b), block, true, arrival) {
                 // The cache was full of dirty data: the writer stalls
                 // behind the eviction writeback.
                 done = done.max(stall);
@@ -608,10 +608,10 @@ mod tests {
         let (_sim, cache, counters) = rig(params);
         let t0 = SimTime::ZERO;
         let uid = 7;
-        cache.read(0, uid, 0, BLOCK, t0); // miss: {0}
-        cache.read(0, uid, BLOCK, BLOCK, t0); // miss: {0, 1}
-        cache.read(0, uid, 0, BLOCK, t0); // hit, 0 becomes MRU
-        cache.read(0, uid, 2 * BLOCK, BLOCK, t0); // miss: evicts 1
+        cache.read_extents(0, uid, &[(0, BLOCK)], t0); // miss: {0}
+        cache.read_extents(0, uid, &[(BLOCK, BLOCK)], t0); // miss: {0, 1}
+        cache.read_extents(0, uid, &[(0, BLOCK)], t0); // hit, 0 becomes MRU
+        cache.read_extents(0, uid, &[(2 * BLOCK, BLOCK)], t0); // miss: evicts 1
         assert!(cache.contains(0, uid, 0));
         assert!(!cache.contains(0, uid, 1));
         assert!(cache.contains(0, uid, 2));
@@ -627,9 +627,9 @@ mod tests {
             .with_block_bytes(BLOCK)
             .with_read_ahead(0);
         let (_sim, cache, counters) = rig(params);
-        let cold = cache.read(0, 1, 0, 4 * BLOCK, SimTime::ZERO);
+        let cold = cache.read_extents(0, 1, &[(0, 4 * BLOCK)], SimTime::ZERO);
         let t1 = cold; // re-read after the fetch has landed
-        let warm = cache.read(0, 1, 0, 4 * BLOCK, t1);
+        let warm = cache.read_extents(0, 1, &[(0, 4 * BLOCK)], t1);
         assert!(
             warm - t1 < cold - SimTime::ZERO,
             "warm read {warm:?} from {t1:?} should beat cold {cold:?}"
@@ -647,7 +647,7 @@ mod tests {
         params.dirty_high_water = 0.5; // high = 4, low = 2
         let (mut sim, cache, counters) = rig(params);
         for b in 0..4u64 {
-            cache.write(0, 3, b * BLOCK, BLOCK, SimTime::ZERO);
+            cache.write_extents(0, 3, &[(b * BLOCK, BLOCK)], SimTime::ZERO);
         }
         assert_eq!(cache.dirty_blocks(0), 4);
         let s = counters.snapshot();
@@ -670,9 +670,9 @@ mod tests {
             .with_read_ahead(0);
         params.dirty_high_water = 1.0;
         let (_sim, cache, counters) = rig(params);
-        let fast = cache.write(0, 5, 0, BLOCK, SimTime::ZERO);
-        cache.write(0, 5, BLOCK, BLOCK, SimTime::ZERO);
-        let stalled = cache.write(0, 5, 2 * BLOCK, BLOCK, SimTime::ZERO);
+        let fast = cache.write_extents(0, 5, &[(0, BLOCK)], SimTime::ZERO);
+        cache.write_extents(0, 5, &[(BLOCK, BLOCK)], SimTime::ZERO);
+        let stalled = cache.write_extents(0, 5, &[(2 * BLOCK, BLOCK)], SimTime::ZERO);
         assert!(
             stalled > fast + SimDuration::from_millis(1),
             "third write ({stalled:?}) must wait for a dirty writeback; \
@@ -691,19 +691,45 @@ mod tests {
         let (_sim, cache, counters) = rig(params);
         let uid = 9;
         let t0 = SimTime::ZERO;
-        cache.read(0, uid, 0, BLOCK, t0); // miss; first read is not "sequential"
+        cache.read_extents(0, uid, &[(0, BLOCK)], t0); // miss; first read is not "sequential"
         assert_eq!(counters.snapshot().readahead_issued, 0);
-        cache.read(0, uid, BLOCK, BLOCK, t0); // sequential: prefetch blocks 2, 3
+        cache.read_extents(0, uid, &[(BLOCK, BLOCK)], t0); // sequential: prefetch blocks 2, 3
         assert_eq!(counters.snapshot().readahead_issued, 2);
         assert!(cache.contains(0, uid, 2));
         assert!(cache.contains(0, uid, 3));
-        // Arriving before the prefetch lands counts as a timely
+        // Arriving before the prefetch lands counts as a useful
         // read-ahead hit and waits for the in-flight fetch.
-        let done = cache.read(0, uid, 2 * BLOCK, BLOCK, t0);
+        let done = cache.read_extents(0, uid, &[(2 * BLOCK, BLOCK)], t0);
         let s = counters.snapshot();
         assert_eq!(s.readahead_hits, 1);
         assert_eq!(s.misses, 2);
         assert!(done > t0);
+        // A prefetched block scores once: a second read of block 2 does
+        // not count again, and block 3 counts after it has landed.
+        cache.read_extents(0, uid, &[(2 * BLOCK, BLOCK)], done);
+        assert_eq!(counters.snapshot().readahead_hits, 1);
+        cache.read_extents(0, uid, &[(3 * BLOCK, BLOCK)], done);
+        let s = counters.snapshot();
+        assert_eq!(s.readahead_hits, 2);
+        assert!(s.readahead_hits <= s.readahead_issued);
+    }
+
+    #[test]
+    fn hits_on_an_in_flight_demand_fetch_are_not_read_ahead_hits() {
+        let params = CacheParams::lru(64 * BLOCK)
+            .with_block_bytes(BLOCK)
+            .with_read_ahead(2);
+        let (_sim, cache, counters) = rig(params);
+        let t0 = SimTime::ZERO;
+        let fetched = cache.read_extents(0, 4, &[(0, BLOCK)], t0);
+        // A second demand read of the block while its demand fetch is
+        // still in flight waits for it, but read-ahead did not bring it.
+        let again = cache.read_extents(0, 4, &[(0, BLOCK)], t0);
+        assert!(again >= fetched);
+        let s = counters.snapshot();
+        assert_eq!(s.hits, 1);
+        assert_eq!(s.readahead_issued, 0);
+        assert_eq!(s.readahead_hits, 0);
     }
 
     #[test]
@@ -712,9 +738,9 @@ mod tests {
             .with_block_bytes(BLOCK)
             .with_read_ahead(2);
         let (_sim, cache, counters) = rig(params);
-        cache.read(0, 2, 10 * BLOCK, BLOCK, SimTime::ZERO);
-        cache.read(0, 2, 5 * BLOCK, BLOCK, SimTime::ZERO);
-        cache.read(0, 2, 20 * BLOCK, BLOCK, SimTime::ZERO);
+        cache.read_extents(0, 2, &[(10 * BLOCK, BLOCK)], SimTime::ZERO);
+        cache.read_extents(0, 2, &[(5 * BLOCK, BLOCK)], SimTime::ZERO);
+        cache.read_extents(0, 2, &[(20 * BLOCK, BLOCK)], SimTime::ZERO);
         assert_eq!(counters.snapshot().readahead_issued, 0);
     }
 
@@ -725,14 +751,14 @@ mod tests {
             .with_read_ahead(0)
             .with_write_behind(false);
         let (_sim, cache, counters) = rig(params);
-        let end = cache.write(0, 4, 0, BLOCK, SimTime::ZERO);
+        let end = cache.write_extents(0, 4, &[(0, BLOCK)], SimTime::ZERO);
         assert!(
             end > SimTime::ZERO + SimDuration::from_millis(1),
             "paid the disk"
         );
         assert_eq!(cache.dirty_blocks(0), 0);
         assert_eq!(counters.snapshot().writes_absorbed, 0);
-        cache.read(0, 4, 0, BLOCK, end);
+        cache.read_extents(0, 4, &[(0, BLOCK)], end);
         let s = counters.snapshot();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 0);
@@ -744,7 +770,7 @@ mod tests {
             .with_block_bytes(BLOCK)
             .with_read_ahead(0);
         let (_sim, cache, counters) = rig(params);
-        cache.write(0, 6, 0, 2 * BLOCK, SimTime::ZERO);
+        cache.write_extents(0, 6, &[(0, 2 * BLOCK)], SimTime::ZERO);
         assert_eq!(cache.dirty_blocks(0), 2);
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         let done = cache.flush_file(6, t);

@@ -175,6 +175,10 @@ impl Machine {
     ) -> SimDuration {
         let (off0, len0) = runs[0];
         let mut svc = self.disk_service_positioned(io, prev_end, off0, len0);
+        if runs.len() == 1 {
+            // A contiguous op's share: the per-run base is never needed.
+            return svc;
+        }
         let mut head = off0 + len0;
         let base = self.disk_service_time(io, 0, false);
         for &(off, len) in &runs[1..] {
@@ -218,11 +222,6 @@ impl Machine {
         self.cfg
             .net
             .transfer_time(bytes, self.topo.io_hops(rank, io))
-    }
-
-    /// Busy time summed over all I/O-node queues (for utilization reports).
-    pub fn total_io_busy(&self) -> SimDuration {
-        self.io_queues.iter().map(|q| q.stats().busy).sum()
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! When `MachineConfig::io_queue_depth > 1` (and no buffer cache is
 //! configured), the file system routes disk work through one queue
-//! daemon per I/O node instead of reserving the node's FIFO
-//! [`iosim_simkit::sync::Resource`] at booking time. The booking path
+//! daemon per I/O node instead of reserving the node's disk queue in
+//! arrival order at booking time. The booking path
 //! submits a [`DiskCommand`] carrying the request's network-arrival
 //! instant and its sorted local runs; the daemon holds arrived commands
 //! in a flat [`CmdRing`] (slots addressed by submission sequence,
@@ -16,16 +16,18 @@
 //! depth and a command bypassed [`iosim_machine::STARVATION_BOUND`]
 //! times is dispatched unconditionally.
 //!
-//! Like the legacy `Resource` path, service is *virtual*: a dispatch
-//! computes the completion instant analytically (multi-disk nodes are a
-//! min-heap of server free times, the head position is shared per node)
-//! and resolves the command's [`Event`] immediately, so submitters
-//! sleep until the completion instant without the daemon blocking for
-//! the service duration. All scheduling decisions feed the
-//! [`QueueCounters`] of the run's trace collector.
+//! The daemon schedules; it does not model the disks itself. A dispatch
+//! books the command on the node's disk queue, [`Machine::io_queue`] —
+//! the same capacity-N [`iosim_simkit::resource::Resource`] the direct
+//! path and the buffer cache book — so the node's disks, their
+//! statistics and the file system's report are one model whichever path
+//! runs. Service is *virtual*: the booking returns the completion instant
+//! (the head position is shared per node) and the daemon resolves the
+//! command's [`Event`] immediately, so submitters sleep until the
+//! completion instant without the daemon blocking for the service
+//! duration. All scheduling decisions feed the [`QueueCounters`] of the
+//! run's trace collector.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -116,21 +118,22 @@ async fn node_daemon(
     counters: QueueCounters,
 ) {
     let h = m.handle().clone();
-    // Virtual free instants of the node's disks (min-heap): a dispatch
-    // occupies the earliest-free server, exactly like the capacity-N
-    // FIFO `Resource` the legacy path books.
-    let mut free: BinaryHeap<Reverse<SimTime>> = (0..m.cfg().disks_per_io_node)
-        .map(|_| Reverse(SimTime::ZERO))
-        .collect();
+    let disks = m.io_queue(node);
     // All queued commands, in the flat ring; submission order is the
     // ring's sequence order. The payload carries what the dispatch needs
-    // beyond the scheduling key: the runs and the completion event.
-    type Payload = (CmdRuns, Event<SimTime>);
+    // beyond the scheduling key: the arrival, the runs and the
+    // completion event.
+    type Payload = (SimTime, CmdRuns, Event<SimTime>);
     let mut ring: CmdRing<Payload> = CmdRing::new();
     let mut head: Option<(u64, u64)> = None;
     let push = |ring: &mut CmdRing<Payload>, cmd: DiskCommand| {
         let first = cmd.runs.as_slice()[0].0;
-        ring.push(cmd.arrival, cmd.uid, first, (cmd.runs, cmd.done));
+        ring.push(
+            cmd.arrival,
+            cmd.uid,
+            first,
+            (cmd.arrival, cmd.runs, cmd.done),
+        );
     };
     loop {
         while let Some(cmd) = rx.try_recv() {
@@ -146,7 +149,7 @@ async fn node_daemon(
         }
         // The next dispatch can happen no earlier than a server freeing
         // up and a queued command's request arriving at the node.
-        let server_free = free.peek().expect("at least one disk").0;
+        let server_free = disks.earliest_free();
         let min_arrival = ring.min_arrival().expect("non-empty ring");
         let start_at = server_free.max(min_arrival);
         let now = h.now();
@@ -163,15 +166,17 @@ async fn node_daemon(
         let picked = ring
             .pick(head, now, depth)
             .expect("min-arrival command has arrived");
-        let (runs, done) = picked.payload;
+        let (arrival, runs, done) = picked.payload;
         let runs = runs.as_slice();
         let prev_end = match head {
             Some((huid, hend)) if huid == picked.uid => Some(hend),
             _ => None,
         };
-        let end = now + m.disk_service_runs(node, prev_end, runs);
-        free.pop();
-        free.push(Reverse(end));
+        // The picked command has arrived and a disk is free by `now`,
+        // and one of the two happened exactly then, so the booking
+        // starts now.
+        let (start, end) = disks.reserve_at(arrival, m.disk_service_runs(node, prev_end, runs));
+        debug_assert_eq!(start, now, "dispatch starts at the dispatch instant");
         let (last_off, last_len) = *runs.last().expect("runs non-empty");
         head = Some((picked.uid, last_off + last_len));
         counters.add_dispatch(

@@ -1,24 +1,39 @@
 //! The parallel file system: files, open handles, and the timed data path.
 //!
 //! A [`FileSystem`] binds a [`Machine`] and a [`TraceCollector`]. Every
-//! operation on a [`FileHandle`] charges the client-side interface cost,
-//! decomposes the byte range into per-I/O-node runs
-//! ([`crate::layout::Striping::runs`]), books each run on the owning I/O
-//! node's FIFO disk queue (with a seek penalty when the node-local offset
-//! is discontiguous with that node's previous access), and completes when
-//! the last run's response returns over the network. The whole operation
+//! data operation on a [`FileHandle`] takes one path: it charges the
+//! client-side interface cost, decomposes its extents into per-I/O-node
+//! local runs ([`crate::layout::Striping::runs`]), and books each touched
+//! node's share once. A node's booking sends the request over the
+//! network, hands the disk work to the node's disk model, and returns the
+//! response; the operation completes when the last response arrives and
 //! is recorded with the trace collector, which yields the paper's
 //! Tables 2–3 directly.
 //!
-//! Noncontiguous accesses travel as an [`IoRequest`] extent list through
+//! A contiguous access is a request with one extent. Noncontiguous
+//! accesses travel as an [`IoRequest`] extent list through
 //! [`FileHandle::readv`] / [`FileHandle::writev`]. Under
 //! [`Interface::Passion`] the whole list is serviced as **list I/O**:
-//! one interface call, extents coalesced, and each touched I/O node's
-//! disk queue booked once per request (per-request overhead paid once,
-//! later extents adding only transfer and intra-request seek costs).
-//! Under the UNIX-style and Fortran interfaces the same request
-//! degenerates to the historical per-fragment loop — the paper's
-//! interface contrast, now expressed per request.
+//! one interface call, extents coalesced, and each touched I/O node
+//! booked once per request (per-request overhead paid once, later runs
+//! adding only transfer and intra-request seek costs). Under the
+//! UNIX-style and Fortran interfaces the same request degenerates to
+//! the historical per-fragment loop — the paper's interface contrast,
+//! now expressed per request.
+//!
+//! Every I/O node has one disk server model, the node's capacity-N
+//! FIFO [`iosim_simkit::resource::Resource`] (one server per disk).
+//! Three front ends book it: by default the file system reserves it
+//! directly, with a seek penalty when the node-local offset is
+//! discontiguous with that node's previous access; with a buffer cache
+//! ([`iosim_machine::CachePolicy::Lru`]) the node's [`BufferCache`]
+//! serves resident blocks at memory speed, absorbs writes behind, and
+//! books only its misses, read-ahead and write-backs ([`FileHandle::flush`]
+//! forces a file's dirty blocks out); with `io_queue_depth > 1` and no
+//! cache, the node's command-queue daemon (`cmdq`) reorders
+//! arrived commands before booking them. Under
+//! [`iosim_machine::CachePolicy::None`] and depth 1 (every preset's
+//! default) only the direct reservation runs.
 //!
 //! Files either **store real bytes** (so correctness of optimized I/O
 //! paths can be asserted byte-for-byte) or are **synthetic** (timing only,
@@ -28,14 +43,6 @@
 //! cache and the disk queues are pure *timing* models — they never hold
 //! data bytes, so sharing buffers between the application, the message
 //! layer, and the file store is safe.
-//!
-//! When the machine config enables a buffer cache
-//! ([`iosim_machine::CachePolicy::Lru`]), each run consults the
-//! per-I/O-node [`BufferCache`] instead of booking the disk queue
-//! directly: resident blocks are served at memory speed, write-behind
-//! absorbs writes, and [`FileHandle::flush`] forces the file's dirty
-//! blocks out. Under [`iosim_machine::CachePolicy::None`] (every preset's
-//! default) the original uncached path runs unchanged.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -46,7 +53,7 @@ use iosim_cache::BufferCache;
 use iosim_machine::{Interface, Machine};
 use iosim_simkit::hash::FxHashMap;
 use iosim_simkit::sync::Event;
-use iosim_simkit::time::SimTime;
+use iosim_simkit::time::{SimDuration, SimTime};
 use iosim_trace::{OpKind, TraceCollector};
 
 use crate::cmdq::{CmdRuns, CommandQueues, DiskCommand};
@@ -149,11 +156,22 @@ pub struct FileSystem {
     /// cache policy. `None` keeps the uncached data path untouched.
     cache: Option<Rc<BufferCache>>,
     /// NCQ-style per-node command queues, present iff the machine config
-    /// sets `io_queue_depth > 1` and no buffer cache runs (cached
-    /// machines keep the cache's own disk scheduling). `None` keeps the
-    /// legacy FIFO reservation path bit-identical.
+    /// sets `io_queue_depth > 1` and no buffer cache runs (a cached
+    /// machine's disk traffic comes from the cache and is booked in FIFO
+    /// order). The daemons book the same per-node disk queues as the
+    /// direct path, only in elevator order. `None` books each node
+    /// directly, in FIFO order.
     cmdq: Option<CommandQueues>,
     inner: RefCell<FsInner>,
+}
+
+/// Where one I/O node's share of a data operation stands once booked.
+enum Booked {
+    /// The response reaches the rank at this instant.
+    At(SimTime),
+    /// The command queue resolves the event with the disk's completion;
+    /// the response then takes the given network time.
+    Later(Event<SimTime>, SimDuration),
 }
 
 impl FileSystem {
@@ -293,200 +311,61 @@ impl FileSystem {
         })
     }
 
-    /// Book the per-node runs of one data operation and return the
-    /// completion instant. `is_read` controls which direction carries the
-    /// payload over the network. The striping's node indices are relative
-    /// to `node_base` (per-file stripe groups).
-    #[allow(clippy::too_many_arguments)]
-    async fn book_runs(
+    /// Book one I/O node's share of a data operation: `rank`'s sorted,
+    /// merged local `runs` of file `uid`. The request crosses the network
+    /// to the node (64 bytes for a read, the payload for a write), the
+    /// disk work goes to the node's command queue, buffer cache or FIFO
+    /// queue, and the response crosses back. The FIFO arm tracks the
+    /// head position here; the cache and the command-queue daemon keep
+    /// their own. Later runs of a multi-run share add their transfer and
+    /// seek cost but not another per-request overhead.
+    fn book_node(
         &self,
         rank: usize,
-        striping: Striping,
-        node_base: usize,
+        node: usize,
         uid: u64,
-        offset: u64,
-        len: u64,
+        runs: &[(u64, u64)],
         is_read: bool,
-    ) -> SimTime {
-        let h = self.machine.handle();
-        let now = h.now();
-        let cfg = self.machine.cfg();
-        let io_nodes = self.machine.io_nodes();
-        let runs = striping.runs(offset, len);
-        if let Some(cmdq) = &self.cmdq {
-            // Command-queue path: submit one command per striping run and
-            // let the node daemons schedule them (out of FIFO order when
-            // profitable). Completion instants arrive via events.
-            let mut waits = Vec::with_capacity(runs.len());
-            for run in runs {
-                let node = (node_base + run.io_node) % io_nodes;
-                let hops = self.machine.topology().io_hops(rank, node);
-                let request_bytes = if is_read { 64 } else { run.bytes };
-                let arrival = now + cfg.net.transfer_time(request_bytes, hops);
-                let done = Event::new();
-                cmdq.submit(
-                    node,
-                    DiskCommand {
-                        arrival,
-                        uid,
-                        runs: CmdRuns::One((run.local_offset, run.bytes)),
-                        done: done.clone(),
-                    },
-                );
-                let response_bytes = if is_read { run.bytes } else { 0 };
-                waits.push((done, cfg.net.transfer_time(response_bytes, hops)));
-            }
-            let mut latest = now;
-            for (done, response) in waits {
-                latest = latest.max(done.wait().await + response);
-            }
-            return latest;
-        }
-        let mut latest = now;
-        let mut inner = self.inner.borrow_mut();
-        for run in runs {
-            let node = (node_base + run.io_node) % io_nodes;
-            let hops = self.machine.topology().io_hops(rank, node);
-            let request_bytes = if is_read { 64 } else { run.bytes };
-            let arrival = now + cfg.net.transfer_time(request_bytes, hops);
-            let end = if let Some(cache) = &self.cache {
-                // The I/O node's buffer cache decides what disk traffic
-                // this run induces (and keeps its own head tracking).
-                if is_read {
-                    cache.read(node, uid, run.local_offset, run.bytes, arrival)
-                } else {
-                    cache.write(node, uid, run.local_offset, run.bytes, arrival)
-                }
+    ) -> Booked {
+        let net = &self.machine.cfg().net;
+        let hops = self.machine.topology().io_hops(rank, node);
+        let bytes: u64 = runs.iter().map(|&(_, len)| len).sum();
+        let request = net.transfer_time(if is_read { 64 } else { bytes }, hops);
+        let arrival = self.machine.handle().now() + request;
+        let response = net.transfer_time(if is_read { bytes } else { 0 }, hops);
+        let end = if let Some(cmdq) = &self.cmdq {
+            let done = Event::new();
+            cmdq.submit(
+                node,
+                DiskCommand {
+                    arrival,
+                    uid,
+                    runs: CmdRuns::from(runs),
+                    done: done.clone(),
+                },
+            );
+            return Booked::Later(done, response);
+        } else if let Some(cache) = &self.cache {
+            if is_read {
+                cache.read_extents(node, uid, runs, arrival)
             } else {
-                let pos = &mut inner.disk_pos[node];
-                // Same-file continuations carry the head position; a switch
-                // to another file (or a cold head) is always discontiguous.
-                let prev_end = match *pos {
-                    Some((prev_uid, end)) if prev_uid == uid => Some(end),
-                    _ => None,
-                };
-                *pos = Some((uid, run.local_offset + run.bytes));
-                let svc = self.machine.disk_service_positioned(
-                    node,
-                    prev_end,
-                    run.local_offset,
-                    run.bytes,
-                );
-                let (_, end) = self.machine.io_queue(node).reserve_at(arrival, svc);
-                end
+                cache.write_extents(node, uid, runs, arrival)
+            }
+        } else {
+            let mut inner = self.inner.borrow_mut();
+            let pos = &mut inner.disk_pos[node];
+            // Same-file continuations carry the head position; a switch
+            // to another file (or a cold head) is always discontiguous.
+            let prev_end = match *pos {
+                Some((prev_uid, end)) if prev_uid == uid => Some(end),
+                _ => None,
             };
-            let response_bytes = if is_read { run.bytes } else { 0 };
-            let done = end + cfg.net.transfer_time(response_bytes, hops);
-            latest = latest.max(done);
-        }
-        latest
-    }
-
-    /// Book one list-I/O request: split the (sorted, coalesced) extent
-    /// list per I/O node via the striping, merge per-node adjacent local
-    /// runs, and book each touched node's disk queue **once**, charging
-    /// the per-request overhead a single time plus a head-position-aware
-    /// transfer (and seek) cost per local run. One request and one
-    /// response cross the network per touched node.
-    #[allow(clippy::too_many_arguments)]
-    async fn book_list(
-        &self,
-        rank: usize,
-        striping: Striping,
-        node_base: usize,
-        uid: u64,
-        extents: &[(u64, u64)],
-        is_read: bool,
-    ) -> SimTime {
-        let h = self.machine.handle();
-        let now = h.now();
-        let cfg = self.machine.cfg();
-        let io_nodes = self.machine.io_nodes();
-        // Scatter the global extents into `(node, local offset, bytes)`
-        // runs, sorted by node then offset: disjoint global extents can
-        // be contiguous in a node's local space, so each node's runs are
-        // merged before booking.
-        let mut local: Vec<(usize, u64, u64)> = Vec::with_capacity(extents.len());
-        for &(off, len) in extents {
-            for run in striping.runs(off, len) {
-                let node = (node_base + run.io_node) % io_nodes;
-                local.push((node, run.local_offset, run.bytes));
-            }
-        }
-        local.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        let mut waits = Vec::new();
-        let mut latest = now;
-        for group in local.chunk_by(|a, b| a.0 == b.0) {
-            let node = group[0].0;
-            merged.clear();
-            for &(_, off, len) in group {
-                match merged.last_mut() {
-                    Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
-                    _ => merged.push((off, len)),
-                }
-            }
-            let node_bytes: u64 = merged.iter().map(|&(_, len)| len).sum();
-            let hops = self.machine.topology().io_hops(rank, node);
-            let request_bytes = if is_read { 64 } else { node_bytes };
-            let arrival = now + cfg.net.transfer_time(request_bytes, hops);
-            let response = cfg
-                .net
-                .transfer_time(if is_read { node_bytes } else { 0 }, hops);
-            if let Some(cmdq) = &self.cmdq {
-                // Command-queue path: each touched node gets its merged
-                // run list as one multi-run command (the per-request
-                // overhead is charged once by `disk_service_runs`, like
-                // the direct arm below).
-                let done = Event::new();
-                cmdq.submit(
-                    node,
-                    DiskCommand {
-                        arrival,
-                        uid,
-                        runs: CmdRuns::from(merged.as_slice()),
-                        done: done.clone(),
-                    },
-                );
-                waits.push((done, response));
-                continue;
-            }
-            let end = if let Some(cache) = &self.cache {
-                if is_read {
-                    cache.read_extents(node, uid, &merged, arrival)
-                } else {
-                    cache.write_extents(node, uid, &merged, arrival)
-                }
-            } else {
-                let mut inner = self.inner.borrow_mut();
-                let pos = &mut inner.disk_pos[node];
-                let prev_end = match *pos {
-                    Some((prev_uid, end)) if prev_uid == uid => Some(end),
-                    _ => None,
-                };
-                // Later runs add their transfer (and an intra-request
-                // seek when discontiguous) but not another per-request
-                // overhead: the node services the whole list as one
-                // daemon request.
-                let svc = self.machine.disk_service_runs(node, prev_end, &merged);
-                let &(last_off, last_len) = merged.last().expect("group is non-empty");
-                *pos = Some((uid, last_off + last_len));
-                let (_, end) = self.machine.io_queue(node).reserve_at(arrival, svc);
-                end
-            };
-            latest = latest.max(end + response);
-        }
-        for (done, response) in waits {
-            latest = latest.max(done.wait().await + response);
-        }
-        latest
-    }
-
-    /// Per-I/O-node busy durations (for balance diagnostics).
-    pub fn io_busy_profile(&self) -> Vec<f64> {
-        (0..self.machine.io_nodes())
-            .map(|i| self.machine.io_queue(i).stats().busy.as_secs_f64())
-            .collect()
+            let &(last_off, last_len) = runs.last().expect("a node share has runs");
+            *pos = Some((uid, last_off + last_len));
+            let svc = self.machine.disk_service_runs(node, prev_end, runs);
+            self.machine.io_queue(node).reserve_at(arrival, svc).1
+        };
+        Booked::At(end + response)
     }
 
     /// Names of all files, sorted.
@@ -610,10 +489,18 @@ impl FileHandle {
             .record(self.rank, OpKind::Seek, start, h.now(), 0);
     }
 
-    async fn data_op(&self, kind: OpKind, offset: u64, len: u64) {
-        let h = self.fs.machine.handle().clone();
+    /// The one data path: charge one interface call, book `extents` (file
+    /// offsets) on the I/O nodes, wait for the last response and trace
+    /// one operation of `bytes`. A contiguous op (`list` false, one
+    /// extent) books its striping runs in striping order without
+    /// allocating. A list request (`list`, sorted and coalesced extents)
+    /// is scattered per node, each node's adjacent local runs merged,
+    /// and every touched node booked once, in ascending node order.
+    async fn data_op(&self, kind: OpKind, extents: &[(u64, u64)], bytes: u64, list: bool) {
+        let fs = &self.fs;
+        let h = fs.machine.handle().clone();
         let start = h.now();
-        let costs = self.fs.machine.cfg().iface(self.iface);
+        let costs = fs.machine.cfg().iface(self.iface);
         let call = match kind {
             OpKind::Read => costs.read_call,
             OpKind::Write => costs.write_call,
@@ -624,59 +511,60 @@ impl FileHandle {
             let f = self.file.borrow();
             (f.striping, f.node_base, f.uid)
         };
-        let done = self.fs.book_runs(
-            self.rank,
-            striping,
-            node_base,
-            uid,
-            offset,
-            len,
-            kind == OpKind::Read,
-        );
-        let done = done.await;
-        h.sleep_until(done).await;
-        self.fs.trace.record(self.rank, kind, start, h.now(), len);
-    }
-
-    /// The PASSION list-I/O service path: one interface call for the
-    /// whole request, the coalesced extent list booked once per I/O
-    /// node, and the whole thing traced as a single data operation.
-    async fn listio_op(&self, kind: OpKind, req: &IoRequest) {
-        let h = self.fs.machine.handle().clone();
-        let start = h.now();
-        let costs = self.fs.machine.cfg().iface(self.iface);
-        let call = match kind {
-            OpKind::Read => costs.read_call,
-            OpKind::Write => costs.write_call,
-            _ => unreachable!("listio_op is only for read/write"),
+        let io_nodes = fs.machine.io_nodes();
+        let is_read = kind == OpKind::Read;
+        // Each node is booked at most once per op, so a queued machine's
+        // completion events fit without regrowing.
+        let mut waits = Vec::with_capacity(if fs.cmdq.is_some() { io_nodes } else { 0 });
+        let mut latest = h.now();
+        let mut book = |node: usize, runs: &[(u64, u64)]| match fs
+            .book_node(self.rank, node, uid, runs, is_read)
+        {
+            Booked::At(done) => latest = latest.max(done),
+            Booked::Later(done, response) => waits.push((done, response)),
         };
-        h.sleep(call).await;
-        let (striping, node_base, uid) = {
-            let f = self.file.borrow();
-            (f.striping, f.node_base, f.uid)
-        };
-        let coalesced = req.coalesced();
-        let done = self
-            .fs
-            .book_list(
-                self.rank,
-                striping,
-                node_base,
-                uid,
-                &coalesced,
-                kind == OpKind::Read,
-            )
-            .await;
-        h.sleep_until(done).await;
-        self.fs
-            .trace
-            .record(self.rank, kind, start, h.now(), req.total_bytes());
+        if list {
+            // Disjoint global extents can be contiguous in a node's local
+            // space, so the `(node, local offset, bytes)` runs are sorted
+            // by node then offset and merged before booking.
+            let mut local: Vec<(usize, u64, u64)> = Vec::with_capacity(extents.len());
+            for &(off, len) in extents {
+                for run in striping.runs(off, len) {
+                    let node = (node_base + run.io_node) % io_nodes;
+                    local.push((node, run.local_offset, run.bytes));
+                }
+            }
+            local.sort_unstable();
+            let mut merged: Vec<(u64, u64)> = Vec::new();
+            for group in local.chunk_by(|a, b| a.0 == b.0) {
+                merged.clear();
+                for &(_, off, len) in group {
+                    match merged.last_mut() {
+                        Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
+                        _ => merged.push((off, len)),
+                    }
+                }
+                book(group[0].0, &merged);
+            }
+        } else {
+            for &(offset, len) in extents {
+                for run in striping.runs(offset, len) {
+                    let node = (node_base + run.io_node) % io_nodes;
+                    book(node, &[(run.local_offset, run.bytes)]);
+                }
+            }
+        }
+        for (done, response) in waits {
+            latest = latest.max(done.wait().await + response);
+        }
+        h.sleep_until(latest).await;
+        fs.trace.record(self.rank, kind, start, h.now(), bytes);
     }
 
     /// Whether a request takes the list-I/O service path: PASSION's
     /// vectored interface on a genuinely noncontiguous request. A
-    /// single-fragment request costs the same either way, so it stays on
-    /// the fragment engine (keeping `readv`/`read_at` timing-identical
+    /// single-fragment request costs the same either way, so it is booked
+    /// as a contiguous op (keeping `readv`/`read_at` timing-identical
     /// for contiguous accesses under every interface).
     fn is_listio(&self, req: &IoRequest) -> bool {
         matches!(self.iface, Interface::Passion) && req.fragments() > 1
@@ -722,7 +610,7 @@ impl FileHandle {
         tree.read(offset, len)
     }
 
-    /// One read extent through the fragment engine; payload-vs-discard
+    /// One contiguous read extent; payload-vs-discard
     /// is the `want_bytes` mode (the single servicing routine behind
     /// `read_at` and `read_discard_at`).
     async fn read_one(
@@ -735,7 +623,8 @@ impl FileHandle {
         if want_bytes {
             self.check_stored()?;
         }
-        self.data_op(OpKind::Read, offset, len).await;
+        self.data_op(OpKind::Read, &[(offset, len)], len, false)
+            .await;
         Ok(want_bytes.then(|| self.extract(offset, len).flatten()))
     }
 
@@ -757,7 +646,8 @@ impl FileHandle {
     pub async fn read_rope_at(&self, offset: u64, len: u64) -> Result<BytesList, FsError> {
         self.check_read(offset, len)?;
         self.check_stored()?;
-        self.data_op(OpKind::Read, offset, len).await;
+        self.data_op(OpKind::Read, &[(offset, len)], len, false)
+            .await;
         Ok(self.extract(offset, len))
     }
 
@@ -800,10 +690,11 @@ impl FileHandle {
         }
         self.note_listio(req);
         if self.is_listio(req) {
-            self.listio_op(OpKind::Read, req).await;
+            self.data_op(OpKind::Read, &req.coalesced(), req.total_bytes(), true)
+                .await;
         } else {
             for &(off, len) in req.extents() {
-                self.data_op(OpKind::Read, off, len).await;
+                self.data_op(OpKind::Read, &[(off, len)], len, false).await;
             }
         }
         Ok(want_bytes.then(|| {
@@ -850,7 +741,7 @@ impl FileHandle {
         Ok(())
     }
 
-    /// One write extent through the fragment engine; payload-vs-discard
+    /// One contiguous write extent; payload-vs-discard
     /// is the `data` mode (the single servicing routine behind
     /// `write_at` and `write_discard_at`).
     async fn write_one(
@@ -860,7 +751,8 @@ impl FileHandle {
         data: Option<&BytesList>,
     ) -> Result<(), FsError> {
         self.note_write(offset, len, data)?;
-        self.data_op(OpKind::Write, offset, len).await;
+        self.data_op(OpKind::Write, &[(offset, len)], len, false)
+            .await;
         Ok(())
     }
 
@@ -920,10 +812,11 @@ impl FileHandle {
         }
         self.note_listio(req);
         if self.is_listio(req) {
-            self.listio_op(OpKind::Write, req).await;
+            self.data_op(OpKind::Write, &req.coalesced(), req.total_bytes(), true)
+                .await;
         } else {
             for &(off, len) in req.extents() {
-                self.data_op(OpKind::Write, off, len).await;
+                self.data_op(OpKind::Write, &[(off, len)], len, false).await;
             }
         }
         Ok(())
@@ -1266,32 +1159,54 @@ mod tests {
 
     #[test]
     fn report_lists_nodes_and_files() {
-        let mut sim = Sim::new();
-        let (fs, _) = fixture(&sim);
-        let fs2 = Rc::clone(&fs);
-        let jh = sim.spawn(async move {
-            let a = fs2
-                .open(
-                    0,
-                    Interface::Passion,
-                    "alpha",
-                    Some(CreateOptions::default()),
-                )
-                .await
-                .unwrap();
-            a.write_discard_at(0, 1 << 20).await.unwrap();
-            fs2.create("beta", CreateOptions::default()).unwrap();
-        });
-        sim.run();
-        jh.try_take().expect("completed");
-        assert_eq!(
-            fs.file_names(),
-            vec!["alpha".to_string(), "beta".to_string()]
-        );
-        let report = fs.render_report();
-        assert!(report.contains("I/O node"));
-        assert!(report.contains("alpha (1048576 bytes)"));
-        assert!(report.contains("beta (0 bytes)"));
+        // The direct path and the command-queue daemons book the same
+        // per-node disk queues, so the per-node columns are real on a
+        // queued machine too.
+        for cfg in [
+            presets::paragon_small(),
+            presets::paragon_small()
+                .with_io_nodes(4)
+                .with_io_queue_depth(8),
+        ] {
+            let io_nodes = cfg.io_nodes;
+            let mut sim = Sim::new();
+            let fs = FileSystem::new(Machine::new(sim.handle(), cfg), TraceCollector::new());
+            let fs2 = Rc::clone(&fs);
+            let jh = sim.spawn(async move {
+                let a = fs2
+                    .open(
+                        0,
+                        Interface::Passion,
+                        "alpha",
+                        Some(CreateOptions::default()),
+                    )
+                    .await
+                    .unwrap();
+                a.write_discard_at(0, 1 << 20).await.unwrap();
+                fs2.create("beta", CreateOptions::default()).unwrap();
+            });
+            sim.run();
+            jh.try_take().expect("completed");
+            assert_eq!(
+                fs.file_names(),
+                vec!["alpha".to_string(), "beta".to_string()]
+            );
+            let report = fs.render_report();
+            assert!(report.contains("I/O node"));
+            assert!(report.contains("alpha (1048576 bytes)"));
+            assert!(report.contains("beta (0 bytes)"));
+            // A 1 MB write stripes over every node: each row shows its
+            // request and the disk time it booked.
+            for row in report.lines().skip(1).take(io_nodes) {
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                let requests: u64 = cols[1].parse().expect("request count");
+                let busy: f64 = cols[2].parse().expect("busy seconds");
+                assert!(
+                    requests > 0 && busy > 0.0,
+                    "idle row on {io_nodes} nodes: {row}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,16 +7,19 @@
 //!    (Fortran / UNIX-style / PASSION),
 //! 2. decomposes into at most one contiguous run per I/O node
 //!    ([`layout::Striping::runs`]),
-//! 3. books each run on the owning I/O node's FIFO disk queue — paying a
-//!    seek penalty when discontiguous with that node's previous access —
+//! 3. books each node's share on that node's disk queue — directly in
+//!    FIFO order, paying a seek penalty when discontiguous with the
+//!    node's previous access, or through the buffer cache or the
+//!    NCQ-style command queue when the machine runs one —
 //! 4. and completes when the last response returns over the mesh.
 //!
 //! Noncontiguous accesses are described by an [`IoRequest`] extent list
 //! and serviced by [`FileHandle::readv`] / [`FileHandle::writev`]: under
 //! [`Interface::Passion`] the whole list is one call — extents are
-//! coalesced and each I/O node's disk queue is booked once per request —
-//! while UNIX-style/Fortran interfaces degenerate to the per-fragment
-//! loop above, preserving the paper's interface contrast.
+//! coalesced and each I/O node is booked once per request, by the same
+//! per-node routine — while UNIX-style/Fortran interfaces degenerate to
+//! the per-fragment loop above, preserving the paper's interface
+//! contrast.
 //!
 //! Every operation is recorded with an [`iosim_trace::TraceCollector`],
 //! which reproduces the paper's Pablo trace tables.

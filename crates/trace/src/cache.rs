@@ -23,7 +23,8 @@ pub struct CacheSnapshot {
     pub flush_wakeups: u64,
     /// Blocks fetched speculatively by sequential read-ahead.
     pub readahead_issued: u64,
-    /// Hits on blocks that were still in flight from read-ahead.
+    /// Read-ahead blocks that a demand read used, each counted once, on
+    /// its first demand hit (so never more than `readahead_issued`).
     pub readahead_hits: u64,
     /// Blocks absorbed in memory by write-behind.
     pub writes_absorbed: u64,
@@ -62,7 +63,7 @@ impl CacheSnapshot {
     pub fn render_line(&self) -> String {
         format!(
             "cache: {} hits / {} misses ({:.1}% hit rate), {} evictions, \
-             {} flushed, {} read-ahead ({} timely), {} writes absorbed",
+             {} flushed, {} read-ahead ({} useful), {} writes absorbed",
             self.hits,
             self.misses,
             100.0 * self.hit_rate(),
@@ -124,7 +125,7 @@ impl CacheCounters {
         self.update(|s| s.readahead_issued += n);
     }
 
-    /// Record `n` hits on in-flight read-ahead blocks.
+    /// Record `n` read-ahead blocks used by a demand read.
     pub fn add_readahead_hits(&self, n: u64) {
         self.update(|s| s.readahead_hits += n);
     }

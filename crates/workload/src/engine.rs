@@ -21,32 +21,27 @@
 //!
 //! # Measurement
 //!
-//! Every run returns [`RunStats`] (the same machine-level measurements
-//! the in-tree applications report) plus a per-operation
+//! Every run goes through [`run_ranks`], the harness the applications
+//! use too, and returns its [`RunResult`] plus a per-operation
 //! [`LatencyHistogram`]: for trace replay, latency is the virtual time
 //! from issue to completion; for open-loop runs it is measured from the
 //! operation's *scheduled arrival*, so queueing delay under overload is
 //! included — that is what makes the saturation knee visible.
 
-use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use iosim_core::two_phase::{read_collective, write_collective, Piece, Span};
-use iosim_machine::{Interface, Machine, MachineConfig};
+use iosim_machine::{Interface, MachineConfig};
 use iosim_msg::{Comm, World};
-use iosim_pfs::{CreateOptions, FileHandle, FileSystem, IoRequest};
-use iosim_simkit::executor::{join_all, Sim};
+use iosim_pfs::{CreateOptions, FileHandle, IoRequest};
 use iosim_simkit::hash::FxHashMap;
 use iosim_simkit::sync::{channel, Event};
-use iosim_simkit::time::{SimDuration, SimTime};
-use iosim_trace::{
-    BalanceStats, CacheSnapshot, IoSummary, LatencyHistogram, ListIoSnapshot, QueueSnapshot,
-    SizeHistogram, TraceCollector,
-};
+use iosim_simkit::time::SimTime;
+use iosim_trace::LatencyHistogram;
 
 use crate::opstream::{OpStream, TraceKind, WorkKind};
+use crate::run::{run_ranks, AppCtx, RankFuture, RunResult};
 use crate::synth::{self, SynthSpec, TimedOp};
 
 /// How the engine turns operations into file-system requests.
@@ -115,65 +110,11 @@ impl ReplaySpec {
     }
 }
 
-/// Machine-level measurements of one engine run: the data
-/// `iosim_apps::common::RunResult` carries — the `iosim-apps` wrapper
-/// converts between the two — but defined here so the workload crate
-/// does not depend on the applications crate.
-#[derive(Clone, Debug)]
-pub struct RunStats {
-    /// Compute nodes used.
-    pub procs: usize,
-    /// I/O nodes of the machine.
-    pub io_nodes: usize,
-    /// Wall-clock execution time of the whole run.
-    pub exec_time: SimDuration,
-    /// Wall-clock I/O time: the slowest rank's cumulative I/O time.
-    pub io_time: SimDuration,
-    /// Cumulative I/O time summed over ranks.
-    pub cum_io_time: SimDuration,
-    /// Per-op-kind summary.
-    pub summary: IoSummary,
-    /// Total bytes moved through the file system.
-    pub io_bytes: u64,
-    /// Total file-system operations.
-    pub io_ops: u64,
-    /// Request-size distribution of reads.
-    pub read_sizes: SizeHistogram,
-    /// Request-size distribution of writes.
-    pub write_sizes: SizeHistogram,
-    /// I/O load balance across ranks.
-    pub balance: BalanceStats,
-    /// Buffer-cache behaviour (all zero when uncached).
-    pub cache: CacheSnapshot,
-    /// Vectored list-I/O request shapes.
-    pub listio: ListIoSnapshot,
-    /// I/O-node command-queue behaviour.
-    pub queue: QueueSnapshot,
-    /// Scheduler events (task polls) executed by the simulation engine.
-    pub sim_events: u64,
-    /// Order-sensitive hash of the task schedule.
-    pub sched_fingerprint: u64,
-    /// Host wall-clock time the simulation took to run.
-    pub host_elapsed: std::time::Duration,
-}
-
-impl RunStats {
-    /// Aggregate I/O bandwidth in MB/s (bytes over wall-clock I/O time).
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        let t = self.io_time.as_secs_f64();
-        if t > 0.0 {
-            self.io_bytes as f64 / 1e6 / t
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Result of a trace replay.
 #[derive(Clone, Debug)]
 pub struct ReplayReport {
     /// Machine-level measurements.
-    pub stats: RunStats,
+    pub stats: RunResult,
     /// Per-data-operation latency (virtual time from issue to
     /// completion; in list-I/O and two-phase modes every operation of a
     /// batch records the batch's latency).
@@ -201,7 +142,7 @@ impl ReplayReport {
 #[derive(Clone, Debug)]
 pub struct OpenLoopReport {
     /// Machine-level measurements.
-    pub stats: RunStats,
+    pub stats: RunResult,
     /// Per-operation latency, measured from scheduled arrival to
     /// completion (queueing delay included).
     pub latency: LatencyHistogram,
@@ -257,82 +198,6 @@ pub fn saturation_knee(points: &[SweepPoint]) -> Option<usize> {
     points
         .iter()
         .position(|p| p.offered > 0.0 && p.achieved < 0.9 * p.offered)
-}
-
-// ---------------------------------------------------------------------
-// Shared run harness
-
-type RankFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// Build machine + file system + world, run the program `make` builds
-/// for the machine on every rank, and collect [`RunStats`] (the workload
-/// crate's copy of the `run_ranks` harness; kept independent so
-/// `iosim-apps` can wrap this crate instead of the other way round).
-fn run_world<P: Fn(WorldCtx) -> RankFuture>(
-    cfg: MachineConfig,
-    procs: usize,
-    make: impl FnOnce(&Rc<Machine>) -> P,
-) -> RunStats {
-    let mut sim = Sim::new();
-    let trace = TraceCollector::new();
-    let machine = Machine::new(sim.handle(), cfg);
-    let io_nodes = machine.io_nodes();
-    let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-    let world = World::new(Rc::clone(&machine), procs);
-    let program = make(&machine);
-    let h = sim.handle();
-    let futs: Vec<RankFuture> = world
-        .comms()
-        .into_iter()
-        .enumerate()
-        .map(|(rank, comm)| {
-            program(WorldCtx {
-                rank,
-                comm,
-                fs: Rc::clone(&fs),
-            })
-        })
-        .collect();
-    let n = futs.len();
-    let jh = sim.spawn(async move {
-        let done = join_all(&h, futs).await;
-        done.len()
-    });
-    let host_t0 = std::time::Instant::now();
-    let end = sim.run();
-    let host_elapsed = host_t0.elapsed();
-    assert_eq!(
-        jh.try_take().expect("workload deadlocked"),
-        n,
-        "all ranks must finish"
-    );
-    RunStats {
-        procs,
-        io_nodes,
-        exec_time: end - SimTime::ZERO,
-        io_time: trace.max_rank_io_time(),
-        cum_io_time: trace.cumulative_io_time(),
-        summary: trace.summary(),
-        io_bytes: trace.total_bytes(),
-        io_ops: trace.total_ops(),
-        read_sizes: trace.read_sizes(),
-        write_sizes: trace.write_sizes(),
-        balance: trace.balance(),
-        cache: trace.cache().snapshot(),
-        listio: trace.listio().snapshot(),
-        queue: trace.queue().snapshot(),
-        sim_events: sim.events_processed(),
-        sched_fingerprint: sim.schedule_fingerprint(),
-        host_elapsed,
-    }
-}
-
-/// Everything one simulated rank needs (the machine is reachable
-/// through the file system).
-struct WorldCtx {
-    rank: usize,
-    comm: Comm,
-    fs: Rc<FileSystem>,
 }
 
 // ---------------------------------------------------------------------
@@ -449,39 +314,42 @@ pub fn replay(stream: &OpStream, spec: &ReplaySpec) -> ReplayReport {
         mode: spec.mode,
     });
     let sh = Rc::clone(&shared);
-    let stats = run_world(spec.machine.clone(), n.max(1), move |machine| {
-        let file_worlds: Vec<Option<World>> = openers
+    // Each file's communicator, built on the first rank's machine handle
+    // (building a world neither spawns nor sleeps).
+    let file_worlds: OnceCell<Vec<Option<World>>> = OnceCell::new();
+    let stats = run_ranks(spec.machine.clone(), n.max(1), move |ctx| -> RankFuture {
+        let file_worlds = file_worlds.get_or_init(|| {
+            openers
+                .iter()
+                .map(|ranks| {
+                    (!ranks.is_empty())
+                        .then(|| World::on_nodes(Rc::clone(&ctx.machine), ranks.clone()))
+                })
+                .collect()
+        });
+        let sh = Rc::clone(&sh);
+        // This rank's endpoint on the communicator of each file it opens.
+        let file_comms: Vec<(usize, Comm)> = files_of
+            .get(ctx.rank)
+            .map_or(&[][..], Vec::as_slice)
             .iter()
-            .map(|ranks| {
-                (!ranks.is_empty()).then(|| World::on_nodes(Rc::clone(machine), ranks.clone()))
+            .map(|&f| {
+                let local = openers[f]
+                    .binary_search(&ctx.rank)
+                    .expect("rank opens the file");
+                let world = file_worlds[f].as_ref().expect("file has openers");
+                (f, world.comm(local))
             })
             .collect();
-        move |ctx: WorldCtx| -> RankFuture {
-            let sh = Rc::clone(&sh);
-            // This rank's endpoint on the communicator of each file it
-            // opens.
-            let file_comms: Vec<(usize, Comm)> = files_of
-                .get(ctx.rank)
-                .map_or(&[][..], Vec::as_slice)
-                .iter()
-                .map(|&f| {
-                    let local = openers[f]
-                        .binary_search(&ctx.rank)
-                        .expect("rank opens the file");
-                    let world = file_worlds[f].as_ref().expect("file has openers");
-                    (f, world.comm(local))
-                })
-                .collect();
-            Box::pin(async move {
-                match sh.mode {
-                    ReplayMode::TwoPhase { window } => {
-                        replay_two_phase(ctx, sh, file_comms, window).await
-                    }
-                    ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
-                    ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
+        Box::pin(async move {
+            match sh.mode {
+                ReplayMode::TwoPhase { window } => {
+                    replay_two_phase(ctx, sh, file_comms, window).await
                 }
-            })
-        }
+                ReplayMode::Direct => replay_serial(ctx, sh, 1).await,
+                ReplayMode::ListIo { batch } => replay_serial(ctx, sh, batch).await,
+            }
+        })
     });
     let latency = shared.latency.borrow().clone();
     ReplayReport {
@@ -502,7 +370,7 @@ fn data_parts(kind: &WorkKind) -> Option<(bool, u64, u64)> {
 }
 
 async fn ensure_open(
-    ctx: &WorldCtx,
+    ctx: &AppCtx,
     sh: &ReplayShared,
     handles: &mut FxHashMap<usize, FileHandle>,
     file: usize,
@@ -529,9 +397,9 @@ type PendingRun = (usize, bool, Vec<(u64, u64)>, Vec<usize>);
 /// Direct and list-I/O replay: walk the rank's program order; with
 /// `batch > 1`, coalesce runs of same-file same-direction data ops into
 /// vectored requests.
-async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
+async fn replay_serial(ctx: AppCtx, sh: Rc<ReplayShared>, batch: usize) {
     let mine = sh.per_rank.get(ctx.rank).cloned().unwrap_or_default();
-    let h = ctx.fs.machine().handle().clone();
+    let h = ctx.machine.handle().clone();
     let mut handles: FxHashMap<usize, FileHandle> = FxHashMap::default();
     let mut pending: Option<PendingRun> = None;
     macro_rules! flush {
@@ -626,12 +494,12 @@ async fn replay_serial(ctx: WorldCtx, sh: Rc<ReplayShared>, batch: usize) {
 /// other openers, on the file's communicator (`file_comms`, ascending
 /// by file, so every communicator sees its collectives in one order).
 async fn replay_two_phase(
-    ctx: WorldCtx,
+    ctx: AppCtx,
     sh: Rc<ReplayShared>,
     file_comms: Vec<(usize, Comm)>,
     window: usize,
 ) {
-    let h = ctx.fs.machine().handle().clone();
+    let h = ctx.machine.handle().clone();
     let mut fhs: Vec<FileHandle> = Vec::with_capacity(file_comms.len());
     for &(f, _) in &file_comms {
         let fh = ctx
@@ -772,15 +640,13 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
     let sh = Rc::clone(&shared);
     let iface = spec.iface;
     let mode = spec.mode;
-    let stats = run_world(spec.machine.clone(), ranks, |_| {
-        move |ctx: WorldCtx| -> RankFuture {
-            let sh = Rc::clone(&sh);
-            let my_clients = std::mem::take(&mut per_rank.borrow_mut()[ctx.rank]);
-            let files = Rc::clone(&files);
-            Box::pin(open_loop_rank(
-                ctx, sh, my_clients, files, extent, iface, mode,
-            ))
-        }
+    let stats = run_ranks(spec.machine.clone(), ranks, move |ctx| -> RankFuture {
+        let sh = Rc::clone(&sh);
+        let my_clients = std::mem::take(&mut per_rank.borrow_mut()[ctx.rank]);
+        let files = Rc::clone(&files);
+        Box::pin(open_loop_rank(
+            ctx, sh, my_clients, files, extent, iface, mode,
+        ))
     });
     let latency = shared.latency.borrow().clone();
     let completed_ops = shared.completed.get();
@@ -809,7 +675,7 @@ pub fn run_open_loop(synth: &SynthSpec, spec: &ReplaySpec) -> OpenLoopReport {
 /// One rank's open-loop program: open every file, then drive this rank's
 /// clients.
 async fn open_loop_rank(
-    ctx: WorldCtx,
+    ctx: AppCtx,
     sh: Rc<OpenLoopShared>,
     my_clients: Vec<Vec<TimedOp>>,
     files: Rc<Vec<String>>,
@@ -828,7 +694,7 @@ async fn open_loop_rank(
         fhs.push(fh);
     }
     let fhs = Rc::new(fhs);
-    let h = ctx.fs.machine().handle().clone();
+    let h = ctx.machine.handle().clone();
     let start = h.now();
     match mode {
         ReplayMode::TwoPhase { window } => {

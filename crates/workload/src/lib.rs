@@ -21,6 +21,9 @@
 //!   (on/off-modulated Poisson), bit-deterministic for a fixed seed.
 //! - [`synth`] — the open-loop generator: thousands of independent
 //!   simulated clients with per-client arrival streams and op mixes.
+//! - [`run`] — the one run harness ([`run_ranks`]): one program per
+//!   compute rank on a fresh machine, measured as a [`RunResult`]. The
+//!   applications, replay and the open-loop runner all use it.
 //! - [`engine`] — the replay engine. Runs either source as `simkit`
 //!   tasks issuing requests through the existing PFS path in three modes
 //!   (direct per-op, list-I/O batched, two-phase collective windows),
@@ -36,16 +39,18 @@ pub mod arrival;
 pub mod darshan;
 pub mod engine;
 pub mod opstream;
+pub mod run;
 pub mod synth;
 
 pub use arrival::ArrivalModel;
 pub use darshan::DarshanSummary;
 pub use engine::{
     replay, replay_threaded, run_open_loop, saturation_knee, OpenLoopReport, ReplayMode,
-    ReplayReport, ReplaySpec, RunStats, SweepPoint,
+    ReplayReport, ReplaySpec, SweepPoint,
 };
 pub use opstream::{
     detect_format, parse_any, parse_legacy, parse_opstream, render_legacy, render_opstream,
     synthesize_strided, OpStream, ParseError, TraceFormat, TraceKind, TraceOp, WorkKind, WorkOp,
 };
+pub use run::{run_ranks, AppCtx, RankFuture, RunResult};
 pub use synth::{SynthSpec, TimedOp};

@@ -432,7 +432,7 @@ fn run_replay(o: &Opts) -> RunResult {
         "replay rate    : {:.1} ops/s (virtual)",
         report.ops_per_sec()
     );
-    report.stats.into()
+    report.stats
 }
 
 fn run_synth(o: &Opts) -> RunResult {
@@ -486,7 +486,7 @@ fn run_synth(o: &Opts) -> RunResult {
             ""
         }
     );
-    report.stats.into()
+    report.stats
 }
 
 /// Parse a comma-separated `--flag a,b,c` list; absent flag = `default`.

@@ -51,7 +51,6 @@ pub use iosim_workload as workload;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use iosim_apps::common::{run_ranks, AppCtx, RunResult};
     pub use iosim_bench::advisor::{AdviseOpts, BatchAdvisor, Query};
     pub use iosim_core::{
         read_collective, write_collective, write_collective_batched, FileLayout, HintGrid, Hints,
@@ -63,7 +62,7 @@ pub mod prelude {
     pub use iosim_simkit::prelude::*;
     pub use iosim_trace::{LatencyHistogram, OpKind, TraceCollector};
     pub use iosim_workload::{
-        parse_any, run_open_loop, saturation_knee, ArrivalModel, OpStream, ReplayMode, ReplaySpec,
-        SynthSpec,
+        parse_any, run_open_loop, run_ranks, saturation_knee, AppCtx, ArrivalModel, OpStream,
+        ReplayMode, ReplaySpec, RunResult, SynthSpec,
     };
 }

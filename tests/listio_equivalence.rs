@@ -149,6 +149,51 @@ fn timed_write(
     jh.try_take().expect("write task completed")
 }
 
+/// One PASSION read or write (after a write that sizes the file) of
+/// `req` on a fresh `cfg` machine, as one vectored call or as one
+/// `read_at`/`write_at` per extent. Returns the run's end instant and
+/// its trace rows as `(count, time, bytes)` per op kind.
+fn traced_passion_op(
+    cfg: MachineConfig,
+    write: bool,
+    vectored: bool,
+    req: &IoRequest,
+) -> (SimTime, Vec<(u64, SimDuration, u64)>) {
+    let req = req.clone();
+    let mut sim = Sim::new();
+    let trace = TraceCollector::new();
+    let fs = FileSystem::new(Machine::new(sim.handle(), cfg), trace.clone());
+    let jh = sim.spawn(async move {
+        let opts = CreateOptions::default();
+        let fh = fs
+            .open(0, Interface::Passion, "f", Some(opts))
+            .await
+            .unwrap();
+        fh.write_discard_at(0, req.end()).await.unwrap();
+        match (write, vectored) {
+            (false, true) => fh.readv_discard(&req).await.unwrap(),
+            (true, true) => fh.writev_discard(&req).await.unwrap(),
+            (false, false) => {
+                for &(off, len) in req.extents() {
+                    fh.read_discard_at(off, len).await.unwrap();
+                }
+            }
+            (true, false) => {
+                for &(off, len) in req.extents() {
+                    fh.write_discard_at(off, len).await.unwrap();
+                }
+            }
+        }
+    });
+    let end = sim.run();
+    jh.try_take().expect("op task completed");
+    let rows = trace.summary().rows;
+    (
+        end,
+        rows.iter().map(|r| (r.count, r.time, r.bytes)).collect(),
+    )
+}
+
 /// `readv` returns byte-for-byte what a fragment loop returns — which
 /// is itself byte-for-byte the pattern's slices of the backing file —
 /// under both the list-I/O (PASSION) and degenerate (Unix) interfaces.
@@ -275,5 +320,23 @@ fn strided_requests_behave_like_their_explicit_extent_lists() {
         let (b, tb) = timed_read(Interface::Passion, true, true, &explicit, case);
         assert_eq!(a, b, "case {case}");
         assert_eq!(ta, tb, "case {case}");
+    }
+    // Adjacent fragments coalesce into one extent, and that list request
+    // costs exactly the contiguous op on the extent, on every disk path:
+    // same end instant, same trace rows.
+    let adjacent = IoRequest::strided(4096, 16 << 10, 16 << 10, 8);
+    let whole = IoRequest::from_extents(vec![(4096, 128 << 10)]);
+    assert_eq!(adjacent.coalesced(), whole.extents());
+    let fifo = presets::paragon_small().with_io_nodes(4);
+    for (path, cfg) in [
+        ("FIFO", fifo.clone()),
+        ("depth 8", fifo.clone().with_io_queue_depth(8)),
+        ("cached", fifo.with_lru_cache(1 << 20)),
+    ] {
+        for write in [false, true] {
+            let list = traced_passion_op(cfg.clone(), write, true, &adjacent);
+            let contiguous = traced_passion_op(cfg.clone(), write, false, &whole);
+            assert_eq!(list, contiguous, "{path}, write {write}");
+        }
     }
 }
