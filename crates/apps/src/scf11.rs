@@ -178,13 +178,6 @@ pub struct Scf11Result {
     pub fg_io_time: SimDuration,
 }
 
-impl Scf11Result {
-    /// Wall-clock compute time estimate (exec − foreground I/O).
-    pub fn compute_time(&self) -> SimDuration {
-        self.run.exec_time.saturating_sub(self.fg_io_time)
-    }
-}
-
 const WRITE_CHUNK: u64 = 62 << 10;
 const EVAL_FRACTION: f64 = 0.30;
 const FLUSH_EVERY: u64 = 1000;

@@ -182,13 +182,13 @@ pub fn collective_gain(scale: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::scf11::assert_shape;
 
     #[test]
     fn fig6_shape_holds_at_small_scale() {
-        let r = fig6(0.1); // 4 dumps
-                           // The exact 46/49% reductions need full scale; only require the
-                           // qualitative claims to hold here.
+        // 4 dumps. The exact 46/49% reductions need full scale (the repro
+        // run asserts the full shape); only require the qualitative
+        // claims to hold here.
+        let r = fig6(0.1);
         for c in &r.comparisons {
             if c.what.contains("reduction") {
                 continue;
@@ -201,7 +201,6 @@ mod tests {
                 c.measured
             );
         }
-        let _ = assert_shape; // full-shape asserted in the repro run
     }
 
     #[test]

@@ -12,36 +12,6 @@ pub mod summary;
 
 use iosim_trace::report::ExperimentReport;
 
-/// Run every experiment at the given scale (1.0 = paper scale) and return
-/// the reports in paper order.
-pub fn all(scale: f64) -> Vec<ExperimentReport> {
-    let mut out = Vec::new();
-    out.push(summary::table1());
-    let (t2, t3) = scf11::table2_table3(scale);
-    out.push(t2);
-    out.push(t3);
-    out.push(scf11::fig1(scale));
-    out.push(scf11::fig2(scale));
-    out.push(scf11::fig3(scale));
-    out.push(scf30::fig4(scale));
-    out.push(fft::fig5(scale));
-    out.push(btio::fig6(scale));
-    out.push(btio::fig7(scale));
-    out.push(ast::table4(scale));
-    out.push(summary::table5(scale.min(0.2)));
-    out.push(extensions::ext_hotspot(scale.min(0.2)));
-    out.push(extensions::ext_sieve_vs_two_phase(scale));
-    out.push(extensions::ext_collective_buffer(scale));
-    out.push(extensions::ext_link_contention(scale));
-    out.push(extensions::ext_disk_vs_recompute(scale));
-    out.push(extensions::ext_modern_hardware(scale));
-    out.push(extensions::ext_cache_ablation(scale));
-    out.push(extensions::ext_listio_ablation(scale));
-    out.push(extensions::ext_queue_ablation(scale));
-    out.push(extensions::ext_overload(scale));
-    out
-}
-
 /// Experiment ids accepted by the `repro` binary: the paper's tables and
 /// figures in order, then the extension studies.
 pub const IDS: [&str; 22] = [

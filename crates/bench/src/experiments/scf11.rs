@@ -1,7 +1,6 @@
 //! SCF 1.1 experiments: Tables 2–3 and Figures 1–3.
 
 use iosim_apps::scf11::{run, Scf11Config, Scf11Result, Scf11Version, ScfInput};
-use iosim_simkit::time::SimDuration;
 use iosim_trace::figure::{Series, TextFigure};
 use iosim_trace::report::{Comparison, ExperimentReport, Verdict};
 
@@ -360,11 +359,6 @@ pub fn optimization_gains(scale: f64) -> (f64, f64) {
     )
 }
 
-/// Sanity: the default (paper) configuration for Tables 2–3.
-pub fn default_table_config() -> Scf11Config {
-    Scf11Config::new(ScfInput::Large, Scf11Version::Original)
-}
-
 /// Helper for tests and benches: assert a report's shape holds, with a
 /// readable panic message.
 pub fn assert_shape(report: &ExperimentReport) {
@@ -379,7 +373,6 @@ pub fn assert_shape(report: &ExperimentReport) {
             c.measured
         );
     }
-    let _ = SimDuration::ZERO; // keep the import referenced in all cfgs
 }
 
 #[cfg(test)]

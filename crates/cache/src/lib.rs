@@ -35,7 +35,8 @@
 //! doubly-linked [`LruSlab`] whose dirty sublist mirrors LRU order
 //! exactly (the block index is a point-lookup hash map that is never
 //! iterated — see `lru.rs` for the ordering invariant), disk bookings
-//! use the shared per-node FIFO [`Resource`](iosim_simkit::resource::Resource) queues, and the flush daemon is a
+//! go through [`Machine::book_disk`] (the node's one head and FIFO
+//! queue, shared with the uncached path), and the flush daemon is a
 //! short-lived simulation task that always terminates (so the executor
 //! never leaks it).
 //!
@@ -78,13 +79,11 @@ impl Resident {
     }
 }
 
-/// State of one I/O node's cache.
+/// State of one I/O node's cache. The node's disk head is not here: it
+/// is the machine's (see [`Machine::disk_head`]).
 #[derive(Default)]
 struct NodeCache {
     lru: LruSlab<BlockKey, Resident>,
-    /// Disk head tracking for cache-issued transfers, mirroring the
-    /// PFS convention: end offset of the previous access per file.
-    disk_pos: Option<(u64, u64)>,
     /// Expected (uid, block) of the next sequential read, for
     /// read-ahead trigger detection.
     next_seq: Option<(u64, u64)>,
@@ -108,17 +107,6 @@ struct Scratch {
     fetch: Vec<Extent>,
 }
 
-impl NodeCache {
-    /// Head position for a transfer on `uid` (None = seek: cold head or
-    /// a different file was accessed last).
-    fn prev_end(&self, uid: u64) -> Option<u64> {
-        match self.disk_pos {
-            Some((u, end)) if u == uid => Some(end),
-            _ => None,
-        }
-    }
-}
-
 /// A contiguous run of missing blocks, coalesced into one disk transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Extent {
@@ -127,8 +115,10 @@ struct Extent {
 }
 
 /// The buffer-cache model shared by all files on a machine. One
-/// `NodeCache` per I/O node; timing flows through the machine's disk
-/// queues, counters through the shared [`CacheCounters`].
+/// `NodeCache` per I/O node; every disk transfer it issues (demand
+/// fetch, read-ahead, write-through, eviction and flush write-back) is
+/// one single-run [`Machine::book_disk`] on the node's one head and
+/// queue, and counters flow through the shared [`CacheCounters`].
 pub struct BufferCache {
     machine: Rc<Machine>,
     counters: CacheCounters,
@@ -193,11 +183,6 @@ impl BufferCache {
         self.block
     }
 
-    /// Capacity in blocks per I/O node.
-    pub fn capacity_blocks(&self) -> usize {
-        self.cap_blocks
-    }
-
     /// Resident block count at `node` (tests / diagnostics).
     pub fn resident_blocks(&self, node: usize) -> usize {
         self.nodes[node].borrow().lru.len()
@@ -217,25 +202,6 @@ impl BufferCache {
         SimDuration::from_secs_f64(bytes as f64 / self.params.mem_bandwidth_bps)
     }
 
-    /// Book one coalesced disk transfer at `node` and update the
-    /// cache-side head position. Returns the booked (start, end).
-    fn book_disk(
-        &self,
-        n: &mut NodeCache,
-        node: usize,
-        uid: u64,
-        offset: u64,
-        bytes: u64,
-        arrival: SimTime,
-    ) -> (SimTime, SimTime) {
-        let svc = self
-            .machine
-            .disk_service_positioned(node, n.prev_end(uid), offset, bytes);
-        let booked = self.machine.io_queue(node).reserve_at(arrival, svc);
-        n.disk_pos = Some((uid, offset + bytes));
-        booked
-    }
-
     /// Evict the LRU victim at `node`. A dirty victim is written back
     /// first; its disk completion time is returned so callers can model
     /// the writer stalling behind the writeback.
@@ -243,7 +209,8 @@ impl BufferCache {
         let ((uid, idx), _ready, dirty) = n.lru.pop_lru()?;
         self.counters.add_evictions(1);
         if dirty {
-            let (_, end) = self.book_disk(n, node, uid, idx * self.block, self.block, arrival);
+            let run = (idx * self.block, self.block);
+            let (_, end) = self.machine.book_disk(node, uid, &[run], arrival);
             self.counters.add_flushed(1);
             Some(end)
         } else {
@@ -375,7 +342,7 @@ impl BufferCache {
         for &e in &s.fetch {
             let off = e.first_block * self.block;
             let len = e.count * self.block;
-            let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
+            let (_, end) = self.machine.book_disk(node, uid, &[(off, len)], arrival);
             done = done.max(end);
             for i in 0..e.count {
                 let key = (uid, e.first_block + i);
@@ -402,7 +369,7 @@ impl BufferCache {
                 for &e in &s.fetch {
                     let off = e.first_block * self.block;
                     let len = e.count * self.block;
-                    let (_, end) = self.book_disk(n, node, uid, off, len, arrival);
+                    let (_, end) = self.machine.book_disk(node, uid, &[(off, len)], arrival);
                     let block = Resident {
                         ready_at: end,
                         read_ahead: true,
@@ -442,7 +409,9 @@ impl BufferCache {
             let mut done = arrival;
             for &(offset, bytes) in extents {
                 let bytes = bytes.max(1);
-                let (_, end) = self.book_disk(&mut n, node, uid, offset, bytes, arrival);
+                let (_, end) = self
+                    .machine
+                    .book_disk(node, uid, &[(offset, bytes)], arrival);
                 for b in offset / self.block..=(offset + bytes - 1) / self.block {
                     self.insert_block(&mut n, node, (uid, b), Resident::at(end), false, arrival);
                 }
@@ -538,14 +507,8 @@ impl BufferCache {
             {
                 count += 1;
             }
-            let (_, end) = self.book_disk(
-                n,
-                node,
-                uid,
-                first * self.block,
-                count * self.block,
-                arrival,
-            );
+            let run = (first * self.block, count * self.block);
+            let (_, end) = self.machine.book_disk(node, uid, &[run], arrival);
             done = done.max(end);
             for j in 0..count {
                 n.lru.clear_dirty(&(uid, first + j));

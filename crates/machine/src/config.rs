@@ -320,12 +320,6 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style: set per-node memory.
-    pub fn with_mem_per_node(mut self, bytes: u64) -> Self {
-        self.mem_per_node = bytes;
-        self
-    }
-
     /// Builder-style: degrade I/O node `idx` to `speed` (1.0 = nominal).
     /// Used for failure-injection / hot-spot experiments.
     pub fn with_degraded_io_node(mut self, idx: usize, speed: f64) -> Self {
@@ -362,11 +356,6 @@ impl MachineConfig {
         assert!(depth > 0, "io_queue_depth must be at least 1");
         self.io_queue_depth = depth;
         self
-    }
-
-    /// Aggregate disk bandwidth of the whole I/O subsystem, bytes/second.
-    pub fn aggregate_disk_bandwidth(&self) -> f64 {
-        self.disk.bandwidth_bps * (self.io_nodes * self.disks_per_io_node) as f64
     }
 
     /// Validate internal consistency; called by `Machine::new`.
@@ -446,12 +435,10 @@ mod tests {
         let m = presets::paragon_large()
             .with_compute_nodes(64)
             .with_io_nodes(16)
-            .with_stripe_unit(128 << 10)
-            .with_mem_per_node(256 << 20);
+            .with_stripe_unit(128 << 10);
         assert_eq!(m.compute_nodes, 64);
         assert_eq!(m.io_nodes, 16);
         assert_eq!(m.default_stripe_unit, 128 << 10);
-        assert_eq!(m.mem_per_node, 256 << 20);
         assert!(m.validate().is_ok());
     }
 
@@ -483,15 +470,6 @@ mod tests {
         let mut m = presets::paragon_small();
         m.compute_nodes = m.mesh.nodes() + 1;
         assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn aggregate_bandwidth_multiplies_out() {
-        let m = presets::sp2();
-        let agg = m.aggregate_disk_bandwidth();
-        assert!(
-            (agg - m.disk.bandwidth_bps * (m.io_nodes * m.disks_per_io_node) as f64).abs() < 1e-6
-        );
     }
 
     #[test]

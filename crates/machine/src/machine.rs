@@ -1,11 +1,12 @@
-//! The instantiated machine: per-I/O-node service queues, per-node NICs,
-//! and cost helpers, bound to one simulation.
+//! The instantiated machine: per-I/O-node disks (service queue and head
+//! position), per-node NICs, and cost helpers, bound to one simulation.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use iosim_simkit::executor::SimHandle;
 use iosim_simkit::resource::Resource;
-use iosim_simkit::time::SimDuration;
+use iosim_simkit::time::{SimDuration, SimTime};
 
 use crate::config::MachineConfig;
 use crate::topology::Topology;
@@ -17,11 +18,23 @@ use crate::topology::Topology;
 /// (CPU, network transfer) are uncontended analytic delays, which keeps
 /// the event count low while preserving the queueing effects the paper's
 /// results hinge on (compute nodes piling onto few I/O nodes).
+///
+/// Each I/O node also has one disk head, and [`Machine::book_disk`] is
+/// the one way to use a node's disks: it prices a request from the head,
+/// moves the head and books the node's queue. The file system's direct
+/// path, the buffer cache and the command-queue daemon all book through
+/// it, so every path sees the same head.
 pub struct Machine {
     handle: SimHandle,
     cfg: MachineConfig,
     topo: Topology,
     io_queues: Vec<Resource>,
+    /// Per-I/O-node head position: (file uid, local end offset) of the
+    /// node's last access. A request seeks unless it continues exactly
+    /// where the same file's previous access on that node ended. With
+    /// several disks per I/O node this is an approximation (one shared
+    /// head).
+    heads: Vec<Cell<Option<(u64, u64)>>>,
     nics: Vec<Resource>,
     /// Mesh links (half-duplex); empty unless `cfg.net.link_contention`.
     links: Vec<Resource>,
@@ -46,6 +59,7 @@ impl Machine {
                 )
             })
             .collect();
+        let heads = vec![Cell::new(None); cfg.io_nodes];
         let nics = (0..cfg.compute_nodes)
             .map(|i| Resource::new(handle.clone(), format!("nic-{i}"), 1))
             .collect();
@@ -61,6 +75,7 @@ impl Machine {
             cfg,
             topo,
             io_queues,
+            heads,
             nics,
             links,
         })
@@ -76,8 +91,8 @@ impl Machine {
         a: crate::topology::Coord,
         b: crate::topology::Coord,
         bytes: u64,
-        arrival: iosim_simkit::time::SimTime,
-    ) -> iosim_simkit::time::SimTime {
+        arrival: SimTime,
+    ) -> SimTime {
         if self.links.is_empty() {
             return arrival;
         }
@@ -136,17 +151,55 @@ impl Machine {
         &self.io_queues[io]
     }
 
+    /// Book `runs` of file `uid` on I/O node `io`'s disks for a request
+    /// reaching the node at `arrival`; returns the booked (start, end).
+    /// The first run pays the positioned cost from the node's head (no
+    /// seek when it continues the same file's last access there); each
+    /// later run adds its positioned cost without another per-request
+    /// overhead, as one command issued once that walks its runs. The head
+    /// moves to the end of the last run. `runs` are `(local_offset,
+    /// bytes)` pairs serviced in order.
+    ///
+    /// # Panics
+    /// Panics if `runs` is empty.
+    pub fn book_disk(
+        &self,
+        io: usize,
+        uid: u64,
+        runs: &[(u64, u64)],
+        arrival: SimTime,
+    ) -> (SimTime, SimTime) {
+        let head = &self.heads[io];
+        // Same-file continuations carry the head position; a switch to
+        // another file (or a cold head) is always discontiguous.
+        let prev_end = match head.get() {
+            Some((prev_uid, end)) if prev_uid == uid => Some(end),
+            _ => None,
+        };
+        let &(last_off, last_len) = runs.last().expect("a disk booking has runs");
+        head.set(Some((uid, last_off + last_len)));
+        let svc = self.disk_service_runs(io, prev_end, runs);
+        self.io_queues[io].reserve_at(arrival, svc)
+    }
+
+    /// The head of I/O node `io`: (file uid, local end offset) of its
+    /// last access, `None` while cold. The command-queue elevator picks
+    /// against it.
+    pub fn disk_head(&self, io: usize) -> Option<(u64, u64)> {
+        self.heads[io].get()
+    }
+
     /// Disk service time at I/O node `io` for one request, including that
     /// node's speed factor (failure injection). Flat-cost model.
-    pub fn disk_service_time(&self, io: usize, bytes: u64, seek: bool) -> SimDuration {
+    fn disk_service_time(&self, io: usize, bytes: u64, seek: bool) -> SimDuration {
         self.apply_speed(io, self.cfg.disk.service_time(bytes, seek))
     }
 
     /// Disk service time with head-position awareness: `prev_end` is the
     /// node's previous access end offset on the same file (`None` = cold
-    /// head or other file at offset 0). The flat model charges a seek
-    /// whenever the request is discontiguous.
-    pub fn disk_service_positioned(
+    /// head or other file). The flat model charges a seek whenever the
+    /// request is discontiguous.
+    fn disk_service_positioned(
         &self,
         io: usize,
         prev_end: Option<u64>,
@@ -159,15 +212,9 @@ impl Machine {
 
     /// Disk service time for one multi-run command at I/O node `io`:
     /// the first run pays the full positioned cost from `prev_end`, each
-    /// later run adds its positioned cost minus the per-request overhead
-    /// (a queued command issues once and walks its runs). `runs` are
-    /// `(local_offset, bytes)` pairs serviced in order. This is exactly
-    /// the incremental arithmetic of the vectored list-I/O path, so a
-    /// single-run command costs precisely `disk_service_positioned`.
-    ///
-    /// # Panics
-    /// Panics if `runs` is empty.
-    pub fn disk_service_runs(
+    /// later run adds its positioned cost minus the per-request overhead.
+    /// A single-run command costs precisely `disk_service_positioned`.
+    fn disk_service_runs(
         &self,
         io: usize,
         prev_end: Option<u64>,
@@ -209,13 +256,6 @@ impl Machine {
         &self.nics[rank]
     }
 
-    /// Network time for `bytes` between compute ranks `a` and `b`.
-    pub fn net_time_between(&self, a: usize, b: usize, bytes: u64) -> SimDuration {
-        self.cfg
-            .net
-            .transfer_time(bytes, self.topo.compute_hops(a, b))
-    }
-
     /// Network time for `bytes` between compute rank `rank` and I/O node
     /// `io`.
     pub fn net_time_to_io(&self, rank: usize, io: usize, bytes: u64) -> SimDuration {
@@ -230,7 +270,6 @@ mod tests {
     use super::*;
     use crate::presets;
     use iosim_simkit::executor::Sim;
-    use iosim_simkit::time::SimTime;
 
     #[test]
     fn machine_builds_resources() {
@@ -332,6 +371,32 @@ mod tests {
         let merged = m.disk_service_runs(0, Some(0), &[(0, 2048)]);
         let split = m.disk_service_runs(0, Some(0), &[(0, 1024), (1024, 1024)]);
         assert_eq!(split, merged);
+    }
+
+    #[test]
+    fn book_disk_prices_from_one_head_per_node() {
+        let sim = Sim::new();
+        let m = Machine::new(sim.handle(), presets::paragon_small());
+        let disk = m.cfg().disk;
+        let t = SimTime::ZERO;
+        let svc = |uid, runs: &[(u64, u64)], node| {
+            let (start, end) = m.book_disk(node, uid, runs, t);
+            end - start
+        };
+        // A cold head seeks.
+        assert_eq!(svc(1, &[(0, 4096)], 0), disk.service_time(4096, true));
+        // An exact same-file continuation on the same node does not.
+        assert_eq!(svc(1, &[(4096, 4096)], 0), disk.service_time(4096, false));
+        // Switching to another file seeks, even at the head's offset.
+        assert_eq!(svc(2, &[(8192, 4096)], 0), disk.service_time(4096, true));
+        // Node 1's head is its own: node 0's continuation seeks there,
+        // and node 0's head is left where it was.
+        assert_eq!(svc(2, &[(12288, 4096)], 1), disk.service_time(4096, true));
+        assert_eq!(svc(2, &[(12288, 4096)], 0), disk.service_time(4096, false));
+        // A multi-run booking leaves the head at its last run's end.
+        svc(3, &[(0, 1024), (8192, 1024)], 0);
+        assert_eq!(m.disk_head(0), Some((3, 9216)));
+        assert_eq!(svc(3, &[(9216, 1024)], 0), disk.service_time(1024, false));
     }
 
     #[test]

@@ -70,15 +70,6 @@ impl Topology {
         Self::hops(self.compute_coord(rank), self.io_coord(io))
     }
 
-    /// Mean hops from a compute rank to each of the I/O nodes — used for
-    /// aggregate cost estimates.
-    pub fn mean_io_hops(&self, rank: usize) -> f64 {
-        (0..self.io_nodes)
-            .map(|io| self.io_hops(rank, io) as f64)
-            .sum::<f64>()
-            / self.io_nodes as f64
-    }
-
     /// Total number of mesh links, counting the I/O column: horizontal
     /// links between adjacent columns (including compute→I/O-column) and
     /// vertical links within every column.
@@ -168,14 +159,6 @@ mod tests {
         let t = Topology::new(MeshDims { rows: 8, cols: 2 }, 2);
         assert_eq!(t.io_coord(0).row, 0);
         assert_eq!(t.io_coord(1).row, 4);
-    }
-
-    #[test]
-    fn mean_io_hops_positive_and_bounded() {
-        let t = topo();
-        let m = t.mean_io_hops(0);
-        assert!(m >= 1.0);
-        assert!(m <= 8.0);
     }
 
     #[test]

@@ -182,33 +182,6 @@ impl Comm {
             f64::from_le_bytes(p.into_bytes().try_into().expect("8-byte f64 payload"))
         }
     }
-
-    /// Max-reduce a `u64` across ranks; every rank returns the maximum.
-    /// Used to agree on balanced file sizes and loop bounds.
-    pub async fn allreduce_max(&self, value: u64) -> u64 {
-        let t1 = self.next_coll_tag();
-        let t2 = self.next_coll_tag();
-        let n = self.size();
-        if self.rank() == 0 {
-            let mut acc = value;
-            for _ in 1..n {
-                let (_, p) = self.recv(MatchSrc::Any, t1).await;
-                acc = acc.max(u64::from_le_bytes(
-                    p.into_bytes().try_into().expect("8-byte u64 payload"),
-                ));
-            }
-            for dst in 1..n {
-                self.send(dst, t2, Payload::bytes(acc.to_le_bytes().to_vec()))
-                    .await;
-            }
-            acc
-        } else {
-            self.send(0, t1, Payload::bytes(value.to_le_bytes().to_vec()))
-                .await;
-            let (_, p) = self.recv(MatchSrc::Rank(0), t2).await;
-            u64::from_le_bytes(p.into_bytes().try_into().expect("8-byte u64 payload"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -304,15 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_and_max() {
+    fn allreduce_sum_reaches_every_rank() {
         let sums = run_ranks(6, |c| async move {
-            let s = c.allreduce_sum((c.rank() + 1) as f64).await;
-            let m = c.allreduce_max(c.rank() as u64 * 7).await;
-            (s, m)
+            c.allreduce_sum((c.rank() + 1) as f64).await
         });
-        for (s, m) in sums {
+        for s in sums {
             assert!((s - 21.0).abs() < 1e-12);
-            assert_eq!(m, 35);
         }
     }
 

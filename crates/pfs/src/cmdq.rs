@@ -16,13 +16,13 @@
 //! depth and a command bypassed [`iosim_machine::STARVATION_BOUND`]
 //! times is dispatched unconditionally.
 //!
-//! The daemon schedules; it does not model the disks itself. A dispatch
-//! books the command on the node's disk queue, [`Machine::io_queue`] —
-//! the same capacity-N [`iosim_simkit::resource::Resource`] the direct
-//! path and the buffer cache book — so the node's disks, their
-//! statistics and the file system's report are one model whichever path
-//! runs. Service is *virtual*: the booking returns the completion instant
-//! (the head position is shared per node) and the daemon resolves the
+//! The daemon schedules; it does not model the disks itself. It picks
+//! against the node's one head, [`Machine::disk_head`], and a dispatch
+//! books the command through [`Machine::book_disk`] — the same head,
+//! pricing and capacity-N queue the direct path and the buffer cache
+//! use — so the node's disks, their statistics and the file system's
+//! report are one model whichever path runs. Service is *virtual*: the
+//! booking returns the completion instant and the daemon resolves the
 //! command's [`Event`] immediately, so submitters sleep until the
 //! completion instant without the daemon blocking for the service
 //! duration. All scheduling decisions feed the [`QueueCounters`] of the
@@ -125,7 +125,6 @@ async fn node_daemon(
     // completion event.
     type Payload = (SimTime, CmdRuns, Event<SimTime>);
     let mut ring: CmdRing<Payload> = CmdRing::new();
-    let mut head: Option<(u64, u64)> = None;
     let push = |ring: &mut CmdRing<Payload>, cmd: DiskCommand| {
         let first = cmd.runs.as_slice()[0].0;
         ring.push(
@@ -164,21 +163,14 @@ async fn node_daemon(
         // Dispatch one command from the arrived set (non-empty: the
         // min-arrival command has arrived).
         let picked = ring
-            .pick(head, now, depth)
+            .pick(m.disk_head(node), now, depth)
             .expect("min-arrival command has arrived");
         let (arrival, runs, done) = picked.payload;
-        let runs = runs.as_slice();
-        let prev_end = match head {
-            Some((huid, hend)) if huid == picked.uid => Some(hend),
-            _ => None,
-        };
         // The picked command has arrived and a disk is free by `now`,
         // and one of the two happened exactly then, so the booking
         // starts now.
-        let (start, end) = disks.reserve_at(arrival, m.disk_service_runs(node, prev_end, runs));
+        let (start, end) = m.book_disk(node, picked.uid, runs.as_slice(), arrival);
         debug_assert_eq!(start, now, "dispatch starts at the dispatch instant");
-        let (last_off, last_len) = *runs.last().expect("runs non-empty");
-        head = Some((picked.uid, last_off + last_len));
         counters.add_dispatch(
             node,
             picked.arrived,

@@ -21,11 +21,13 @@
 //! the historical per-fragment loop — the paper's interface contrast,
 //! now expressed per request.
 //!
-//! Every I/O node has one disk server model, the node's capacity-N
-//! FIFO [`iosim_simkit::resource::Resource`] (one server per disk).
-//! Three front ends book it: by default the file system reserves it
-//! directly, with a seek penalty when the node-local offset is
-//! discontiguous with that node's previous access; with a buffer cache
+//! Every I/O node has one disk model, owned by the [`Machine`]: one
+//! head position and the node's capacity-N FIFO
+//! [`iosim_simkit::resource::Resource`] (one server per disk), priced
+//! and booked only through [`Machine::book_disk`], which charges a seek
+//! penalty when the node-local offset is discontiguous with that node's
+//! previous access. Three front ends book it: by default the file system
+//! books each request directly, in arrival order; with a buffer cache
 //! ([`iosim_machine::CachePolicy::Lru`]) the node's [`BufferCache`]
 //! serves resident blocks at memory speed, absorbs writes behind, and
 //! books only its misses, read-ahead and write-backs ([`FileHandle::flush`]
@@ -125,11 +127,6 @@ struct FileState {
 
 struct FsInner {
     files: FxHashMap<String, Rc<RefCell<FileState>>>,
-    /// Per-I/O-node head position: (file uid, local end offset) of the
-    /// last access. A new request seeks unless it continues exactly where
-    /// the same file's previous run on that node ended. With several
-    /// disks per I/O node this is an approximation (one shared head).
-    disk_pos: Vec<Option<(u64, u64)>>,
     next_uid: u64,
 }
 
@@ -179,7 +176,6 @@ impl FileSystem {
     /// machine's [`iosim_machine::CacheParams`] decide whether the I/O
     /// nodes run a buffer cache; its counters feed `trace`.
     pub fn new(machine: Rc<Machine>, trace: TraceCollector) -> Rc<FileSystem> {
-        let io_nodes = machine.io_nodes();
         let cache = BufferCache::new(&machine, trace.cache().clone());
         let cmdq = if machine.io_queue_depth() > 1 && cache.is_none() {
             Some(CommandQueues::new(&machine, trace.queue().clone()))
@@ -193,7 +189,6 @@ impl FileSystem {
             cmdq,
             inner: RefCell::new(FsInner {
                 files: FxHashMap::default(),
-                disk_pos: vec![None; io_nodes],
                 next_uid: 0,
             }),
         })
@@ -315,10 +310,10 @@ impl FileSystem {
     /// merged local `runs` of file `uid`. The request crosses the network
     /// to the node (64 bytes for a read, the payload for a write), the
     /// disk work goes to the node's command queue, buffer cache or FIFO
-    /// queue, and the response crosses back. The FIFO arm tracks the
-    /// head position here; the cache and the command-queue daemon keep
-    /// their own. Later runs of a multi-run share add their transfer and
-    /// seek cost but not another per-request overhead.
+    /// queue, and the response crosses back. All three price the disk
+    /// work from the node's one head through [`Machine::book_disk`], so
+    /// later runs of a multi-run share add their transfer and seek cost
+    /// but not another per-request overhead.
     fn book_node(
         &self,
         rank: usize,
@@ -352,18 +347,7 @@ impl FileSystem {
                 cache.write_extents(node, uid, runs, arrival)
             }
         } else {
-            let mut inner = self.inner.borrow_mut();
-            let pos = &mut inner.disk_pos[node];
-            // Same-file continuations carry the head position; a switch
-            // to another file (or a cold head) is always discontiguous.
-            let prev_end = match *pos {
-                Some((prev_uid, end)) if prev_uid == uid => Some(end),
-                _ => None,
-            };
-            let &(last_off, last_len) = runs.last().expect("a node share has runs");
-            *pos = Some((uid, last_off + last_len));
-            let svc = self.machine.disk_service_runs(node, prev_end, runs);
-            self.machine.io_queue(node).reserve_at(arrival, svc).1
+            self.machine.book_disk(node, uid, runs, arrival).1
         };
         Booked::At(end + response)
     }
@@ -445,15 +429,6 @@ impl FileHandle {
     /// copies).
     pub fn copy_time(&self, bytes: u64) -> iosim_simkit::time::SimDuration {
         self.fs.machine.cfg().cpu.copy_time(bytes)
-    }
-
-    /// Network time to broadcast `bytes` across the compute partition
-    /// (used by the `M_GLOBAL` I/O mode's fan-out leg). Uses a typical
-    /// mesh distance of half the larger mesh dimension.
-    pub fn broadcast_time(&self, bytes: u64) -> iosim_simkit::time::SimDuration {
-        let cfg = self.fs.machine.cfg();
-        let hops = (cfg.mesh.rows.max(cfg.mesh.cols) / 2) as u32;
-        cfg.net.transfer_time(bytes, hops)
     }
 
     /// File name.

@@ -101,11 +101,6 @@ impl Striping {
             next: 0,
         }
     }
-
-    /// Number of distinct I/O nodes a request touches.
-    pub fn nodes_touched(&self, offset: u64, len: u64) -> usize {
-        self.runs(offset, len).len()
-    }
 }
 
 /// Iterator over the per-node runs of one request; see

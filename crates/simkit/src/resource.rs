@@ -37,14 +37,6 @@ pub struct ResourceStats {
 }
 
 impl ResourceStats {
-    /// Mean queueing delay per request.
-    pub fn mean_queue_delay(&self) -> SimDuration {
-        self.queued
-            .as_nanos()
-            .checked_div(self.requests)
-            .map_or(SimDuration::ZERO, SimDuration)
-    }
-
     /// Utilization of the station over `[0, horizon]`, in `[0, capacity]`.
     pub fn utilization(&self, horizon: SimTime, capacity: usize) -> f64 {
         if horizon == SimTime::ZERO {
@@ -236,7 +228,6 @@ mod tests {
         assert_eq!(st.requests, 2);
         assert_eq!(st.busy, SimDuration::from_secs(4));
         assert_eq!(st.queued, SimDuration::from_secs(2));
-        assert_eq!(st.mean_queue_delay(), SimDuration::from_secs(1));
         assert_eq!(st.last_completion, SimTime(4_000_000_000));
         assert!((st.utilization(SimTime(4_000_000_000), 1) - 1.0).abs() < 1e-9);
         sim.run();

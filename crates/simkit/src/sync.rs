@@ -173,11 +173,6 @@ impl<T: Clone> Event<T> {
         }
     }
 
-    /// Whether the event has been set.
-    pub fn is_set(&self) -> bool {
-        self.inner.borrow().value.is_some()
-    }
-
     /// Wait for the event and clone its value.
     pub fn wait(&self) -> EventWait<T> {
         EventWait {
@@ -288,7 +283,7 @@ mod tests {
                     .collect();
                 let hs: Vec<_> = waiters.into_iter().map(|f| h.spawn(f)).collect();
                 h.sleep(SimDuration::from_secs(1)).await;
-                assert!(!ev.is_set());
+                assert!(hs.iter().all(|jh| !jh.is_finished()));
                 ev.set(99);
                 let mut out = Vec::new();
                 for jh in hs {

@@ -114,37 +114,6 @@ impl TextFigure {
         }
         out
     }
-
-    /// Render as horizontal ASCII bars, one block per x value.
-    pub fn render_bars(&self, width: usize) -> String {
-        let max_y = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|&(_, y)| y))
-            .fold(0.0_f64, f64::max);
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.title);
-        for x in self.xs() {
-            let _ = writeln!(out, "{} = {}", self.x_label, format_num(x));
-            for s in &self.series {
-                if let Some(y) = s.y_at(x) {
-                    let n = if max_y > 0.0 {
-                        ((y / max_y) * width as f64).round() as usize
-                    } else {
-                        0
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  {:<26} |{} {}",
-                        truncate(&s.name, 26),
-                        "#".repeat(n),
-                        format_num(y)
-                    );
-                }
-            }
-        }
-        out
-    }
 }
 
 impl TextFigure {
@@ -267,13 +236,6 @@ mod tests {
         f.push(Series::new("b", vec![(2.0, 2.0)]));
         let t = f.render_table();
         assert!(t.contains('-'));
-    }
-
-    #[test]
-    fn bars_scale_to_max() {
-        let b = sample().render_bars(10);
-        // The 150 bar is the widest (10 hashes).
-        assert!(b.contains(&"#".repeat(10)));
     }
 
     #[test]

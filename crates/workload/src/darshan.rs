@@ -269,21 +269,6 @@ pub fn parse_darshan(text: &str) -> Result<DarshanSummary, ParseError> {
     Ok(out)
 }
 
-/// Render a summary back to text (the inverse of [`parse_darshan`]).
-pub fn render_darshan(s: &DarshanSummary) -> String {
-    let mut out = String::from("#iosim darshan v1\n");
-    for f in &s.files {
-        out.push_str(&format!("file {} {} {}\n", f.name, f.ranks, f.seq_frac));
-        for b in &f.writes {
-            out.push_str(&format!("whist {} {} {}\n", f.name, b.size, b.count));
-        }
-        for b in &f.reads {
-            out.push_str(&format!("rhist {} {} {}\n", f.name, b.size, b.count));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_render_roundtrip() {
+    fn parse_reads_every_record() {
         let s = parse_darshan(sample()).unwrap();
         assert_eq!(s.files.len(), 1);
-        assert_eq!(s.files[0].total_ops(), 128);
-        assert_eq!(s.files[0].total_bytes(), 40 * 65536 + 24 * 512 + 64 * 4096);
-        let s2 = parse_darshan(&render_darshan(&s)).unwrap();
-        assert_eq!(s, s2);
+        let f = &s.files[0];
+        assert_eq!(
+            (f.name.as_str(), f.ranks, f.seq_frac),
+            ("scratch.dat", 4, 0.75)
+        );
+        assert_eq!(f.writes.len(), 2);
+        assert_eq!(f.reads.len(), 1);
+        assert_eq!(f.total_ops(), 128);
+        assert_eq!(f.total_bytes(), 40 * 65536 + 24 * 512 + 64 * 4096);
     }
 
     #[test]

@@ -233,35 +233,6 @@ impl OpStream {
         }
         out
     }
-
-    /// Project the stream back to legacy ops (reads/writes only). Returns
-    /// `None` if the stream touches more than one file — the legacy
-    /// format cannot express that.
-    pub fn to_legacy(&self) -> Option<Vec<TraceOp>> {
-        if self.files.len() > 1 {
-            return None;
-        }
-        Some(
-            self.ops
-                .iter()
-                .filter_map(|o| match o.kind {
-                    WorkKind::Read { offset, len } => Some(TraceOp {
-                        rank: o.rank,
-                        kind: TraceKind::Read,
-                        offset,
-                        len,
-                    }),
-                    WorkKind::Write { offset, len } => Some(TraceOp {
-                        rank: o.rank,
-                        kind: TraceKind::Write,
-                        offset,
-                        len,
-                    }),
-                    _ => None,
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Number of ranks a legacy trace needs.
@@ -741,13 +712,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_to_stream_and_back() {
+    fn legacy_to_stream() {
         let ops = parse_legacy("0 w 0 10\n1 r 0 10\n").unwrap();
         let s = OpStream::from_legacy(&ops);
         // 2 opens + 2 data ops + 2 closes.
         assert_eq!(s.ops.len(), 6);
         assert_eq!(s.extents(), vec![10]);
-        assert_eq!(s.to_legacy().unwrap(), ops);
+        assert_eq!((s.data_ops(), s.data_bytes()), (2, 20));
         assert!(!s.has_deps());
     }
 

@@ -104,6 +104,12 @@ if ! diff EXPERIMENTS.md "$md"; then
 fi
 rm -f "$md"
 
+echo "== calibration (Table 2/3 per-read times within 25% of the paper) =="
+# Re-runs the Table 2/3 workload and exits non-zero when the simulated
+# Fortran or PASSION per-read time drifts more than 25% from the paper's
+# measurement (DESIGN.md §10).
+cargo run --release --offline -q -p iosim-bench --bin calibrate
+
 echo "== flat-structure hygiene: no raw std hash maps on sim paths =="
 # Engine-side crates take hash maps from iosim_simkit::hash (fixed
 # keys, documented point-lookup-only discipline), never directly from
