@@ -14,8 +14,9 @@
 //! 2. **dedup** — queries collapse by `(workload, fingerprint, scale)`;
 //!    a batch containing the same configuration 40 times simulates once;
 //! 3. **memo cache** — a bounded LRU over [`RunSummary`] values keyed by
-//!    the same triple, with hit/miss/eviction counters, so repeats
-//!    *across* batches are served without simulating;
+//!    the same triple, built on the buffer cache's [`LruSlab`], with
+//!    hit/miss/eviction counters, so repeats *across* batches are served
+//!    without simulating;
 //! 4. **parallel evaluation** — the surviving misses fan out over the
 //!    work-stealing [`map_parallel`]; results are assembled in input
 //!    order, so the report is bit-identical at every thread count.
@@ -32,6 +33,7 @@
 use std::collections::HashMap;
 
 use iosim_apps::hinted::{run_hinted, workload_index, RunSummary, WORKLOADS};
+use iosim_cache::LruSlab;
 use iosim_core::advisor::hints::{HintError, HintGrid, Hints};
 
 use crate::parallel::map_parallel;
@@ -67,27 +69,13 @@ fn memo_key(workload: &'static str, canonical: &Hints, scale: f64) -> MemoKey {
     (w, canonical.fingerprint(), scale.to_bits())
 }
 
-const NIL: usize = usize::MAX;
-
-struct MemoEntry {
-    key: MemoKey,
-    val: RunSummary,
-    prev: usize,
-    next: usize,
-}
-
-/// Bounded LRU memo cache over evaluation summaries: a slab of entries
-/// threaded on an intrusive recency list (head = most recent), with a
-/// point-lookup map from key to slot. Capacity 0 disables memoization
-/// (every lookup misses, nothing is stored) — the "naive" arm of the
-/// throughput benchmark.
+/// Bounded LRU memo cache over evaluation summaries, on the buffer
+/// cache's [`LruSlab`] (entries are never dirty). Capacity 0 disables
+/// memoization (every lookup misses, nothing is stored) — the "naive"
+/// arm of the throughput benchmark.
 pub struct MemoCache {
     cap: usize,
-    map: HashMap<MemoKey, usize>,
-    slab: Vec<MemoEntry>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    lru: LruSlab<MemoKey, RunSummary>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -98,11 +86,7 @@ impl MemoCache {
     pub fn new(cap: usize) -> MemoCache {
         MemoCache {
             cap,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            lru: LruSlab::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -111,12 +95,12 @@ impl MemoCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.is_empty()
     }
 
     /// Lifetime (hits, misses, evictions).
@@ -124,63 +108,15 @@ impl MemoCache {
         (self.hits, self.misses, self.evictions)
     }
 
-    /// Unlink slot `i` from the recency list.
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slab[i].prev, self.slab[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slab[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slab[next].prev = prev;
-        }
-    }
-
-    /// Link slot `i` at the head (most recently used).
-    fn link_front(&mut self, i: usize) {
-        self.slab[i].prev = NIL;
-        self.slab[i].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
     /// Look `key` up, counting a hit (and refreshing recency) or a miss.
     fn lookup(&mut self, key: MemoKey) -> Option<RunSummary> {
-        match self.map.get(&key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                if self.head != i {
-                    self.unlink(i);
-                    self.link_front(i);
-                }
-                Some(self.slab[i].val)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        if self.lru.touch(&key) {
+            self.hits += 1;
+            self.lru.value(&key).copied()
+        } else {
+            self.misses += 1;
+            None
         }
-    }
-
-    /// Every cached entry in LRU-first order (tail to head), so that
-    /// re-inserting them front-to-back reconstructs the recency list
-    /// exactly.
-    fn entries_lru_first(&self) -> Vec<(MemoKey, RunSummary)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut i = self.tail;
-        while i != NIL {
-            out.push((self.slab[i].key, self.slab[i].val));
-            i = self.slab[i].prev;
-        }
-        out
     }
 
     /// Insert a freshly computed summary, evicting the least recently
@@ -189,45 +125,17 @@ impl MemoCache {
         if self.cap == 0 {
             return;
         }
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(v) = self.lru.value_mut(&key) {
             // Re-insert of a key another batch already cached: refresh.
-            self.slab[i].val = val;
-            if self.head != i {
-                self.unlink(i);
-                self.link_front(i);
-            }
+            *v = val;
+            self.lru.touch(&key);
             return;
         }
-        if self.map.len() >= self.cap {
-            let lru = self.tail;
-            self.unlink(lru);
-            let old = self.slab[lru].key;
-            self.map.remove(&old);
-            self.free.push(lru);
+        if self.lru.len() >= self.cap {
+            self.lru.pop_lru();
             self.evictions += 1;
         }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = MemoEntry {
-                    key,
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slab.push(MemoEntry {
-                    key,
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.map.insert(key, i);
-        self.link_front(i);
+        self.lru.insert(key, val, false);
     }
 }
 
@@ -451,11 +359,11 @@ impl BatchAdvisor {
     /// LRU-first so [`BatchAdvisor::load`] restores recency as well as
     /// contents. Returns the number of entries written.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<usize> {
-        let entries = self.memo.entries_lru_first();
-        let mut buf = Vec::with_capacity(1 + 8 + entries.len() * MEMO_RECORD_BYTES);
+        let n = self.memo.len();
+        let mut buf = Vec::with_capacity(1 + 8 + n * MEMO_RECORD_BYTES);
         buf.push(MEMO_FORMAT_VERSION);
-        buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for ((w, fp, scale_bits), s) in &entries {
+        buf.extend_from_slice(&(n as u64).to_le_bytes());
+        for ((w, fp, scale_bits), s) in self.memo.lru.iter() {
             for word in [
                 *w as u64,
                 *fp,
@@ -470,7 +378,7 @@ impl BatchAdvisor {
             }
         }
         std::fs::write(path, &buf)?;
-        Ok(entries.len())
+        Ok(n)
     }
 
     /// Restore a memo snapshot written by [`BatchAdvisor::save`].

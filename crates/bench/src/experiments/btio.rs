@@ -21,7 +21,11 @@ fn cfg(class: BtClass, procs: usize, optimized: bool, scale: f64) -> BtioConfig 
     }
 }
 
-fn sweep(class: BtClass, scale: f64) -> (Vec<RunResult>, Vec<RunResult>) {
+/// One class's grid over [`PROCS_FULL`]: original runs, then two-phase
+/// runs, each in processor order.
+type Sweep = (Vec<RunResult>, Vec<RunResult>);
+
+fn sweep(class: BtClass, scale: f64) -> Sweep {
     let jobs: Vec<BtioConfig> = PROCS_FULL
         .iter()
         .flat_map(|&p| [cfg(class, p, false, scale), cfg(class, p, true, scale)])
@@ -36,15 +40,21 @@ fn sweep(class: BtClass, scale: f64) -> (Vec<RunResult>, Vec<RunResult>) {
     (unopt, opt)
 }
 
+/// Figures 6 and 7 from one Class A sweep (Figure 7 adds Class B).
+pub fn fig6_fig7(scale: f64) -> (ExperimentReport, ExperimentReport) {
+    let a = sweep(BtClass::A, scale);
+    let b = sweep(BtClass::B, scale);
+    (fig6(&a), fig7(&a, &b))
+}
+
 /// Figure 6: BTIO Class A I/O time (a) and total time (b) on the SP-2.
-pub fn fig6(scale: f64) -> ExperimentReport {
-    let (unopt, opt) = sweep(BtClass::A, scale);
+fn fig6((unopt, opt): &Sweep) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "Figure 6: BTIO on IBM SP-2, Class A (408.9 MB total I/O at full scale)",
     );
     for (title, io_axis) in [("(a) I/O time (s)", true), ("(b) total time (s)", false)] {
         let mut fig = TextFigure::new(title, "procs", "seconds");
-        for (label, results) in [("original", &unopt), ("two-phase", &opt)] {
+        for (label, results) in [("original", unopt), ("two-phase", opt)] {
             let pts: Vec<(f64, f64)> = PROCS_FULL
                 .iter()
                 .enumerate()
@@ -112,18 +122,17 @@ pub fn fig6(scale: f64) -> ExperimentReport {
 
 /// Figure 7: aggregate I/O bandwidths of the original and optimized BTIO
 /// for Class A and Class B.
-pub fn fig7(scale: f64) -> ExperimentReport {
+fn fig7(class_a: &Sweep, class_b: &Sweep) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("Figure 7: BTIO I/O bandwidths on IBM SP-2 (Class A and B)");
     let mut bands = Vec::new();
-    for class in [BtClass::A, BtClass::B] {
-        let (unopt, opt) = sweep(class, scale);
+    for (class, (unopt, opt)) in [(BtClass::A, class_a), (BtClass::B, class_b)] {
         let mut fig = TextFigure::new(
             format!("I/O bandwidth (MB/s), {}", class.name()),
             "procs",
             "MB/s",
         );
-        for (label, results) in [("original", &unopt), ("two-phase", &opt)] {
+        for (label, results) in [("original", unopt), ("two-phase", opt)] {
             let pts: Vec<(f64, f64)> = PROCS_FULL
                 .iter()
                 .enumerate()
@@ -188,7 +197,7 @@ mod tests {
         // 4 dumps. The exact 46/49% reductions need full scale (the repro
         // run asserts the full shape); only require the qualitative
         // claims to hold here.
-        let r = fig6(0.1);
+        let r = fig6(&sweep(BtClass::A, 0.1));
         for c in &r.comparisons {
             if c.what.contains("reduction") {
                 continue;
@@ -205,7 +214,7 @@ mod tests {
 
     #[test]
     fn fig7_bandwidth_gap_holds_at_small_scale() {
-        let r = fig7(0.05);
+        let r = fig6_fig7(0.05).1;
         let gap = r
             .comparisons
             .iter()

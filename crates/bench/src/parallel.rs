@@ -33,48 +33,31 @@ where
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        // Hand each worker a raw view of the slot table; workers write
-        // disjoint slots (each index is claimed exactly once).
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        for _ in 0..threads {
-            let f = &f;
-            let next = &next;
-            let items = &items;
-            scope.spawn(move || {
-                let slots_ptr = slots_ptr;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    // Each worker keeps its `(index, result)` pairs; every index is
+    // claimed exactly once, so sorting the union restores input order.
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break out;
+                        };
+                        out.push((i, f(item)));
                     }
-                    let r = f(&items[i]);
-                    // SAFETY: `i` came from a unique fetch_add claim, so
-                    // no other worker writes slot `i`; the scope joins
-                    // all workers before `slots` is read or dropped.
-                    unsafe { *slots_ptr.0.add(i) = Some(r) };
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
-
-/// A pointer wrapper that may cross thread boundaries; safety is
-/// guaranteed by the disjoint-index discipline in [`map_parallel`].
-struct SendPtr<R>(*mut Option<R>);
-impl<R> Clone for SendPtr<R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<R> Copy for SendPtr<R> {}
-unsafe impl<R: Send> Send for SendPtr<R> {}
-unsafe impl<R: Send> Sync for SendPtr<R> {}
 
 /// Environment variable that pins the host thread count for sweeps (CI
 /// uses it to make runs reproducible on any host).

@@ -9,15 +9,10 @@
 //!
 //! * extent store — every read byte-identical to a flat byte mirror under
 //!   arbitrary overlapping writes;
-//! * LRU order — victims, dirty-scan order and per-file dirty filters
-//!   identical to a brute-force recency list;
+//! * LRU order — victims, full recency order, dirty-scan order and
+//!   per-file dirty filters identical to a brute-force recency list;
 //! * elevator pick — dispatch order over a ring with staggered arrivals
-//!   identical to the exported [`pick_command`] oracle over a `Vec` view;
-//! * timer pop order — identical to `BinaryHeap` under collision-heavy,
-//!   wide-spread and reverse-sorted deadline patterns.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!   identical to the exported [`pick_command`] oracle over a `Vec` view.
 
 use iosim_buf::Bytes;
 use iosim_cache::LruSlab;
@@ -25,7 +20,6 @@ use iosim_machine::{pick_command, CmdRing, CommandView};
 use iosim_pfs::ExtentTree;
 use iosim_simkit::rng::SimRng;
 use iosim_simkit::time::SimTime;
-use iosim_simkit::timerheap::TimerHeap;
 
 /// Seeds per property. Each seed is an independent random trajectory.
 const SEEDS: u64 = 12;
@@ -201,6 +195,10 @@ fn lru_slab_matches_recency_model() {
                     assert_eq!(all, model.dirty_keys(), "seed {seed} step {step}");
                 }
             }
+            // Full recency order, least-recent first, with values.
+            let order: Vec<(BlockKey, u64)> = slab.iter().map(|(&k, &v)| (k, v)).collect();
+            let expect: Vec<(BlockKey, u64)> = model.order.iter().map(|e| (e.0, e.1)).collect();
+            assert_eq!(order, expect, "seed {seed} step {step}: recency order");
         }
         // Drain: every remaining victim, value and dirty flag in order.
         loop {
@@ -308,48 +306,5 @@ fn cmd_ring_matches_vec_oracle() {
             }
         }
         assert!(ring.is_empty(), "seed {seed}: ring drained with the oracle");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Timer heap vs BinaryHeap
-
-#[test]
-fn timer_heap_matches_binary_heap() {
-    for seed in 0..SEEDS {
-        let mut rng = SimRng::seed_from(0x7177_0000 + seed);
-        let mut ours: TimerHeap<u64> = TimerHeap::new();
-        let mut theirs: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for step in 0..20_000u64 {
-            if theirs.is_empty() || rng.range(0, 3) != 0 {
-                // Three deadline regimes per trajectory: collision-heavy
-                // (ties broken by seq), wide-spread, and reverse-sorted
-                // (every push sifts all the way to the root).
-                let t = match seed % 3 {
-                    0 => SimTime(rng.range(0, 8)),
-                    1 => SimTime(rng.range(0, 1 << 40)),
-                    _ => SimTime(u64::MAX - step),
-                };
-                ours.push(t, seq, seq);
-                theirs.push(Reverse((t, seq)));
-                seq += 1;
-            } else {
-                assert_eq!(
-                    ours.peek(),
-                    theirs.peek().map(|&Reverse(k)| k),
-                    "seed {seed} step {step}: peek diverged"
-                );
-                let (t, s, p) = ours.pop().expect("ours nonempty");
-                let Reverse((rt, rs)) = theirs.pop().expect("theirs nonempty");
-                assert_eq!((t, s), (rt, rs), "seed {seed} step {step}: pop diverged");
-                assert_eq!(p, s, "seed {seed} step {step}: payload follows its key");
-            }
-        }
-        while let Some((t, s, _)) = ours.pop() {
-            let Reverse((rt, rs)) = theirs.pop().expect("same length");
-            assert_eq!((t, s), (rt, rs), "seed {seed}: drain diverged");
-        }
-        assert!(theirs.is_empty(), "seed {seed}: lengths agree");
     }
 }

@@ -231,6 +231,20 @@ impl<K: Copy + Eq + Hash, V> LruSlab<K, V> {
         }
     }
 
+    /// Every entry with its value, least-recent first: re-inserting them
+    /// in this order rebuilds the same LRU order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            if at == NIL {
+                return None;
+            }
+            let n = self.node(at);
+            at = n.next;
+            Some((&n.key, &n.value))
+        })
+    }
+
     /// Keys of the dirty entries, least-recent first — the flush
     /// daemon's victim order, identical to filtering the full LRU order
     /// for dirty entries (see the module invariant).

@@ -1,12 +1,12 @@
-//! Flat command ring for the NCQ-style per-node disk queues.
+//! Command ring for the NCQ-style per-node disk queues.
 //!
 //! The `pfs::cmdq` daemon used to keep its pending window in a
 //! `Vec<Queued>` and, per dispatch, build a fresh `Vec<CommandView>` of
 //! arrived commands, run [`crate::disk::pick_command`] over it, find the
 //! pick's position again by sequence number, and `Vec::remove` it — an
 //! allocation plus two O(n) scans and an O(n) shift per dispatch.
-//! [`CmdRing`] replaces all of that with one flat ring addressed by
-//! submission sequence number: slot `seq & mask` holds command `seq`, a
+//! [`CmdRing`] replaces all of that with one `VecDeque` addressed by
+//! submission sequence number: entry `seq - front` holds command `seq`, a
 //! dispatch is a single in-place scan with precomputed head-distance rank
 //! keys, and removal is a tombstone (no shifting, no allocation, no
 //! re-find).
@@ -17,6 +17,8 @@
 //! the reference oracle: the property suite drives this ring against a
 //! `Vec` + `pick_command` twin and asserts the dispatch sequence and every
 //! decision flag agree.
+
+use std::collections::VecDeque;
 
 use iosim_simkit::time::SimTime;
 
@@ -63,18 +65,14 @@ pub struct Pick<T> {
 /// Ring of pending disk commands addressed by submission sequence number.
 ///
 /// Sequence numbers are assigned by [`CmdRing::push`] and dense, so the
-/// live span `[front, next)` maps onto a power-of-two slot array at
-/// `seq & mask`; dispatched commands leave tombstones and the front bound
+/// live span `[front, front + slots.len())` maps onto the deque at
+/// `seq - front`; dispatched commands leave tombstones and the front bound
 /// advances past them lazily. Scans in sequence order are a linear walk of
 /// the span — no allocation, no sorting, no position re-derivation.
 pub struct CmdRing<T> {
-    slots: Vec<Option<Slot<T>>>,
-    /// `slots.len() - 1`; slot count is a power of two.
-    mask: u64,
-    /// Lowest possibly-live sequence number.
+    slots: VecDeque<Option<Slot<T>>>,
+    /// Sequence number of `slots[0]`.
     front: u64,
-    /// Next sequence number to assign.
-    next: u64,
     /// Live (un-dispatched) commands.
     live: usize,
 }
@@ -86,13 +84,11 @@ impl<T> Default for CmdRing<T> {
 }
 
 impl<T> CmdRing<T> {
-    /// An empty ring. Grows by doubling as commands pile up.
+    /// An empty ring.
     pub fn new() -> CmdRing<T> {
         CmdRing {
-            slots: Vec::new(),
-            mask: 0,
+            slots: VecDeque::new(),
             front: 0,
-            next: 0,
             live: 0,
         }
     }
@@ -109,36 +105,21 @@ impl<T> CmdRing<T> {
 
     /// Submit a command; returns its assigned sequence number.
     pub fn push(&mut self, arrival: SimTime, uid: u64, offset: u64, payload: T) -> u64 {
-        if (self.next - self.front) as usize == self.slots.len() {
-            self.grow();
-        }
-        let seq = self.next;
-        self.next += 1;
-        let idx = (seq & self.mask) as usize;
-        debug_assert!(self.slots[idx].is_none(), "ring slot collision");
-        self.slots[idx] = Some(Slot {
+        let seq = self.front + self.slots.len() as u64;
+        self.slots.push_back(Some(Slot {
             arrival,
             uid,
             offset,
             bypassed: 0,
             payload,
-        });
+        }));
         self.live += 1;
         seq
     }
 
     /// Earliest arrival instant over all pending commands.
     pub fn min_arrival(&self) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        for seq in self.front..self.next {
-            if let Some(s) = &self.slots[(seq & self.mask) as usize] {
-                min = Some(match min {
-                    Some(m) if m <= s.arrival => m,
-                    _ => s.arrival,
-                });
-            }
-        }
-        min
+        self.slots.iter().flatten().map(|s| s.arrival).min()
     }
 
     /// Dispatch one command: scan the arrived set (commands with
@@ -163,8 +144,8 @@ impl<T> CmdRing<T> {
         let mut fifo: Option<(u64, u64, u64)> = None; // (seq, uid, offset)
         let mut best: Option<Ranked> = None;
         let mut starved: Option<(u64, u64, u64)> = None;
-        for seq in self.front..self.next {
-            let Some(s) = &self.slots[(seq & self.mask) as usize] else {
+        for (seq, s) in (self.front..).zip(&self.slots) {
+            let Some(s) = s else {
                 continue;
             };
             if s.arrival > now {
@@ -203,23 +184,21 @@ impl<T> CmdRing<T> {
         let d_fifo = dist(fifo_uid, fifo_offset);
         let d_pick = dist(uid, offset);
 
-        let slot = self.slots[(seq & self.mask) as usize]
-            .take()
-            .expect("picked slot is live");
+        let idx = (seq - self.front) as usize;
+        let slot = self.slots[idx].take().expect("picked slot is live");
         self.live -= 1;
         // Charge a bypass to every older arrived command the pick
         // overtook (window-ineligible ones included, matching the old
         // full-queue walk).
-        for s in self.front..seq {
-            if let Some(q) = &mut self.slots[(s & self.mask) as usize] {
-                if q.arrival <= now {
-                    q.bypassed += 1;
-                }
+        for q in self.slots.range_mut(..idx).flatten() {
+            if q.arrival <= now {
+                q.bypassed += 1;
             }
         }
         // Advance the front bound past leading tombstones so scans stay
         // proportional to the live span.
-        while self.front < self.next && self.slots[(self.front & self.mask) as usize].is_none() {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
             self.front += 1;
         }
 
@@ -237,31 +216,6 @@ impl<T> CmdRing<T> {
             },
             payload: slot.payload,
         })
-    }
-
-    /// Double the slot array, re-placing live entries under the new mask.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
-        debug_assert!(new_cap.is_power_of_two());
-        let mut slots: Vec<Option<Slot<T>>> = Vec::with_capacity(new_cap);
-        slots.resize_with(new_cap, || None);
-        let mask = (new_cap - 1) as u64;
-        for (i, old) in self.slots.iter_mut().enumerate() {
-            if let Some(s) = old.take() {
-                // Recover the slot's seq: the unique value in the live
-                // span congruent to its old index.
-                let old_mask = self.mask;
-                let base = self.front & !old_mask;
-                let mut seq = base + (i as u64 & old_mask);
-                if seq < self.front {
-                    seq += old_mask + 1;
-                }
-                debug_assert!(seq < self.next);
-                slots[(seq & mask) as usize] = Some(s);
-            }
-        }
-        self.slots = slots;
-        self.mask = mask;
     }
 }
 
@@ -320,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_preserves_sequence_order() {
+    fn long_queue_drains_in_sequence_order() {
         let mut r = CmdRing::new();
         for i in 0..100u64 {
             r.push(t(0), 1, i * 10, i);

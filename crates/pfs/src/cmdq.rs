@@ -6,7 +6,7 @@
 //! arrival order at booking time. The booking path
 //! submits a [`DiskCommand`] carrying the request's network-arrival
 //! instant and its sorted local runs; the daemon holds arrived commands
-//! in a flat [`CmdRing`] (slots addressed by submission sequence,
+//! in a [`CmdRing`] (a `VecDeque` addressed by submission sequence,
 //! tombstone removal — no per-dispatch allocation or `Vec::remove`
 //! shifting), dispatches whenever a disk server frees up, and picks the
 //! next command with the bounded-window elevator policy shared with

@@ -50,7 +50,8 @@
 //! time) rules out by construction.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
@@ -59,7 +60,6 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::hash::FxHashMap;
 use crate::time::{SimDuration, SimTime};
-use crate::timerheap::TimerHeap;
 
 /// Ready queue of `(slab index, spawn serial)` pairs. The serial lets the
 /// run loop reject entries whose slot was freed and reused since enqueue.
@@ -268,13 +268,46 @@ fn fire(core: &Core, seq: u64, waker: Waker) {
     drain_ready(core);
 }
 
+/// A pending timer: its deadline, its registration seq and the waker of
+/// its sleep's first poller. Ordered by `(time, seq)` alone; seq is
+/// unique, so the order is total and the pop order fully determined.
+struct TimerEntry {
+    time: SimTime,
+    seq: u64,
+    waker: Waker,
+}
+
+impl TimerEntry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for TimerEntry {}
+
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 struct Core {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    /// Pending timers, keyed `(time, seq)`, each holding the waker of
-    /// its sleep's first poller. The 4-ary flat heap pops the same total
-    /// order a binary heap would (seq is unique), at half the tree depth.
-    timers: RefCell<TimerHeap<Waker>>,
+    /// Pending timers as a min-heap on `(time, seq)`.
+    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     /// Newer wakers of pending timers whose sleep was re-polled from
     /// another task (select/race patterns), by timer seq. Almost always
     /// empty.
@@ -285,7 +318,7 @@ struct Core {
     events_processed: Cell<u64>,
     fingerprint: Cell<u64>,
     /// Reusable buffer for batched same-instant timer pops.
-    timer_batch: RefCell<Vec<(u64, Waker)>>,
+    timer_batch: RefCell<Vec<TimerEntry>>,
 }
 
 /// A cloneable, lightweight handle into a running simulation.
@@ -316,7 +349,7 @@ impl Sim {
                 core: Rc::new(Core {
                     now: Cell::new(SimTime::ZERO),
                     seq: Cell::new(0),
-                    timers: RefCell::new(TimerHeap::new()),
+                    timers: RefCell::new(BinaryHeap::new()),
                     retargets: RefCell::new(FxHashMap::default()),
                     ready: Rc::new(RefCell::new(VecDeque::new())),
                     tasks: RefCell::new(Slab::default()),
@@ -364,20 +397,20 @@ impl Sim {
             let mut batch = core.timer_batch.borrow_mut();
             {
                 let mut timers = core.timers.borrow_mut();
-                let Some((time, seq, waker)) = timers.pop() else {
+                let Some(Reverse(first)) = timers.pop() else {
                     break;
                 };
-                debug_assert!(time >= core.now.get());
-                core.now.set(time);
-                let instant = time;
-                batch.push((seq, waker));
-                while timers.peek().is_some_and(|(t, _)| t == instant) {
-                    let (_, seq, waker) = timers.pop().expect("peeked entry");
-                    batch.push((seq, waker));
+                debug_assert!(first.time >= core.now.get());
+                let instant = first.time;
+                core.now.set(instant);
+                batch.push(first);
+                while timers.peek().is_some_and(|Reverse(e)| e.time == instant) {
+                    let Reverse(e) = timers.pop().expect("peeked entry");
+                    batch.push(e);
                 }
             }
-            for (seq, waker) in batch.drain(..) {
-                fire(core, seq, waker);
+            for e in batch.drain(..) {
+                fire(core, e.seq, e.waker);
             }
         }
         core.now.get()
@@ -443,10 +476,11 @@ impl SimHandle {
     /// waker a later [`SimHandle::retarget_timer`] names); returns its seq.
     fn register_timer(&self, deadline: SimTime, waker: Waker) -> u64 {
         let seq = self.next_seq();
-        self.core
-            .timers
-            .borrow_mut()
-            .push(deadline.max(self.now()), seq, waker);
+        self.core.timers.borrow_mut().push(Reverse(TimerEntry {
+            time: deadline.max(self.now()),
+            seq,
+            waker,
+        }));
         seq
     }
 

@@ -45,7 +45,6 @@ pub mod resource;
 pub mod rng;
 pub mod sync;
 pub mod time;
-pub mod timerheap;
 
 /// Convenient glob import of the common types.
 pub mod prelude {

@@ -11,6 +11,10 @@
 //!   reduce it at the deep end.
 //! - The batched collective write is a timing optimization only: stored
 //!   bytes are identical with and without it.
+//! - A deep-queued open-loop run keeps its exact dispatch counters
+//!   (reorders, seeks avoided, starvation promotions and the depth
+//!   histogram), so a change to the command ring's storage that moves
+//!   any scheduling decision fails here.
 
 use std::rc::Rc;
 
@@ -20,6 +24,10 @@ use iosim::machine::presets;
 use iosim::machine::Interface;
 use iosim::optim::{write_collective, Piece};
 use iosim::pfs::{CreateOptions, IoRequest};
+use iosim::simkit::time::SimDuration;
+use iosim::trace::QueueSnapshot;
+use iosim::workload::engine::ReplaySpec;
+use iosim::workload::{run_open_loop, SynthSpec};
 
 fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.exec_time, b.exec_time, "{what}: exec_time");
@@ -240,4 +248,31 @@ fn batched_collective_preserves_stored_bytes() {
         batched_run.queue.collective_rounds > 0,
         "depth 8 must take the batched path"
     );
+}
+
+#[test]
+fn queued_open_loop_dispatch_counters_are_pinned() {
+    // The run `iosim synth --clients 64 --rate 20 --duration 2
+    // --read-frac 0.5 --queue-depth 8 --machine sp2 --seed 3` prints: 64
+    // Poisson clients far past SP-2's saturation knee, so every node's
+    // queue runs 16 deep and the starvation bound fires.
+    let synth = SynthSpec {
+        clients: 64,
+        duration: SimDuration::from_secs_f64(2.0),
+        ..SynthSpec::small(20.0, 3)
+    };
+    let spec = ReplaySpec::direct(presets::sp2().with_io_queue_depth(8));
+    let got = run_open_loop(&synth, &spec).stats.queue;
+    let want = QueueSnapshot {
+        bookings: 20_480,
+        reorders: 9_624,
+        starvation_promotions: 212,
+        seeks_avoided: 39,
+        seek_bytes_saved: 15_516_622_848,
+        collective_rounds: 0,
+        depth_hist: [
+            0, 30, 7, 16, 12, 7, 8, 11, 10, 14, 13, 10, 16, 13, 15, 11, 20_287,
+        ],
+    };
+    assert_eq!(got, want);
 }

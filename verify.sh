@@ -149,4 +149,14 @@ if [ -n "$fx_files" ]; then
   fi
 fi
 
+echo "== unsafe hygiene: no unsafe outside the executor =="
+# The executor's waker vtable and in-place task polls are the one place
+# that needs unsafe code (its module doc states the invariant). Every
+# other library and binary source stays safe Rust; test files are not
+# scanned (the allocation-budget suite installs a counting allocator).
+if grep -rnw "unsafe" crates/*/src src | grep -v "^crates/simkit/src/executor.rs:"; then
+  echo "unsafe outside crates/simkit/src/executor.rs"
+  exit 1
+fi
+
 echo "verify.sh: all checks passed"
