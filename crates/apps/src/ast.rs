@@ -25,7 +25,7 @@
 
 use std::rc::Rc;
 
-use iosim_buf::BytesList;
+use iosim_buf::{BytesList, Payload};
 use iosim_core::two_phase::{write_collective, Piece};
 use iosim_machine::{presets, Interface, MachineConfig};
 use iosim_pfs::{CreateOptions, IoRequest};
@@ -154,7 +154,8 @@ pub fn run_capture(cfg: &AstConfig) -> (RunResult, BytesList) {
                     .open(0, Interface::UnixStyle, "ast.dump", None)
                     .await
                     .expect("reopen dump file");
-                *cap.borrow_mut() = fh.read_rope_at(0, total).await.expect("read dump file");
+                let dump = fh.read_at(0, total).await.expect("read dump file");
+                *cap.borrow_mut() = dump.data.expect("ast.dump is stored");
             }
         })
     });
@@ -210,11 +211,9 @@ async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
             if cfg.optimized {
                 let mut pieces = Vec::with_capacity((c1 - c0) as usize);
                 for c in c0..c1 {
-                    let off = base + (c * g + r0) * 8;
-                    let len = (r1 - r0) * 8;
-                    pieces.push(match fragment(&cfg, a, r0, r1, c, dump) {
-                        Some(bytes) => Piece::bytes(off, bytes),
-                        None => Piece::synthetic(off, len),
+                    pieces.push(Piece {
+                        offset: base + (c * g + r0) * 8,
+                        payload: fragment(&cfg, a, r0, r1, c, dump),
                     });
                 }
                 write_collective(&ctx.comm, &fh, pieces)
@@ -224,13 +223,9 @@ async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
                 for c in c0..c1 {
                     let off = base + (c * g + r0) * 8;
                     fh.seek(off).await;
-                    match fragment(&cfg, a, r0, r1, c, dump) {
-                        Some(bytes) => fh.write(bytes).await.expect("write fragment"),
-                        None => fh
-                            .write_discard((r1 - r0) * 8)
-                            .await
-                            .expect("write fragment"),
-                    }
+                    fh.write(fragment(&cfg, a, r0, r1, c, dump))
+                        .await
+                        .expect("write fragment");
                 }
             }
         }
@@ -251,16 +246,13 @@ async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
                 let (got, _) = iosim_core::two_phase::read_collective(&ctx.comm, &fh, spans)
                     .await
                     .expect("collective restart read");
-                if cfg.stored {
-                    for (ci, p) in got.iter().enumerate() {
-                        let c = c0 + ci as u64;
-                        let want = fragment(&cfg, a, r0, r1, c, dump).expect("stored");
-                        assert_eq!(
-                            p.data.as_ref().expect("stored read"),
-                            &want,
-                            "restart data mismatch at array {a} column {c}"
-                        );
-                    }
+                for (ci, p) in got.iter().enumerate() {
+                    let c = c0 + ci as u64;
+                    assert_eq!(
+                        p,
+                        &fragment(&cfg, a, r0, r1, c, dump),
+                        "restart data mismatch at array {a} column {c}"
+                    );
                 }
             } else {
                 // All of my column fragments of this array as one
@@ -268,15 +260,13 @@ async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
                 // degenerates to a per-fragment loop).
                 let len = (r1 - r0) * 8;
                 let req = IoRequest::strided(base + (c0 * g + r0) * 8, len, g * 8, c1 - c0);
-                if cfg.stored {
-                    let got = fh.readv(&req).await.expect("restart read");
-                    for (ci, chunk) in got.chunks_exact(len as usize).enumerate() {
-                        let c = c0 + ci as u64;
-                        let want = fragment(&cfg, a, r0, r1, c, dump).expect("stored");
-                        assert_eq!(chunk, &want[..], "restart data mismatch");
-                    }
-                } else {
-                    fh.readv_discard(&req).await.expect("restart read");
+                let got = fh.readv(&req).await.expect("restart read");
+                for c in c0..c1 {
+                    assert_eq!(
+                        got.slice((c - c0) * len, len),
+                        fragment(&cfg, a, r0, r1, c, dump),
+                        "restart data mismatch at array {a} column {c}"
+                    );
                 }
             }
         }
@@ -285,15 +275,17 @@ async fn rank_program(ctx: AppCtx, cfg: AstConfig) {
     fh.close().await;
 }
 
-fn fragment(cfg: &AstConfig, a: u32, r0: u64, r1: u64, c: u64, dump: u32) -> Option<Vec<u8>> {
+/// Rows `[r0, r1)` of column `c` of array `a` at `dump`: real bytes in
+/// stored mode, the length alone otherwise.
+fn fragment(cfg: &AstConfig, a: u32, r0: u64, r1: u64, c: u64, dump: u32) -> Payload {
     if !cfg.stored {
-        return None;
+        return Payload::synthetic((r1 - r0) * 8);
     }
     let mut out = Vec::with_capacity(((r1 - r0) * 8) as usize);
     for r in r0..r1 {
         out.extend_from_slice(&cell_value(a, r, c, dump).to_le_bytes());
     }
-    Some(out)
+    Payload::bytes(out)
 }
 
 #[cfg(test)]

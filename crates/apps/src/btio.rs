@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use iosim_buf::BytesList;
+use iosim_buf::{BytesList, Payload};
 use iosim_core::two_phase::{write_collective, Piece};
 use iosim_machine::{presets, Interface, MachineConfig};
 use iosim_pfs::{CreateOptions, IoRequest};
@@ -205,8 +205,8 @@ pub fn run_capture(cfg: &BtioConfig) -> (RunResult, BytesList) {
                     .open(0, Interface::UnixStyle, "btio.solution", None)
                     .await
                     .expect("reopen solution");
-                let data = fh.read_rope_at(0, total).await.expect("read solution");
-                *cap.borrow_mut() = data;
+                let data = fh.read_at(0, total).await.expect("read solution");
+                *cap.borrow_mut() = data.data.expect("btio.solution is stored");
             }
         })
     });
@@ -283,22 +283,19 @@ pub async fn rank_program(ctx: AppCtx, cfg: BtioConfig) {
             let (got, _) = iosim_core::two_phase::read_collective(&ctx.comm, &fh, spans)
                 .await
                 .expect("collective verify read");
-            if cfg.stored {
-                let mut idx = 0usize;
-                for &(cx, cy, cz) in &cells {
-                    let (x0, xl) = ext[cx as usize];
-                    let (y0, yl) = ext[cy as usize];
-                    let (z0, zl) = ext[cz as usize];
-                    for z in z0..z0 + zl {
-                        for y in y0..y0 + yl {
-                            let want = run_bytes_payload(&cfg, x0, xl, y, z, dump).expect("stored");
-                            assert_eq!(
-                                got[idx].data.as_ref().expect("stored read"),
-                                &want,
-                                "verification mismatch at (y={y}, z={z})"
-                            );
-                            idx += 1;
-                        }
+            let mut idx = 0usize;
+            for &(cx, cy, cz) in &cells {
+                let (x0, xl) = ext[cx as usize];
+                let (y0, yl) = ext[cy as usize];
+                let (z0, zl) = ext[cz as usize];
+                for z in z0..z0 + zl {
+                    for y in y0..y0 + yl {
+                        assert_eq!(
+                            got[idx],
+                            run_payload(&cfg, x0, xl, y, z, dump),
+                            "verification mismatch at (y={y}, z={z})"
+                        );
+                        idx += 1;
                     }
                 }
             }
@@ -319,20 +316,16 @@ pub async fn rank_program(ctx: AppCtx, cfg: BtioConfig) {
                     }
                 }
             }
-            if cfg.stored {
-                let got = fh.readv(&req).await.expect("verify read");
-                let mut cursor = 0usize;
-                for (x0, xl, y, z) in runs {
-                    let want = run_bytes_payload(&cfg, x0, xl, y, z, dump).expect("stored");
-                    assert_eq!(
-                        &got[cursor..cursor + want.len()],
-                        &want[..],
-                        "verification mismatch at (y={y}, z={z})"
-                    );
-                    cursor += want.len();
-                }
-            } else {
-                fh.readv_discard(&req).await.expect("verify read");
+            let got = fh.readv(&req).await.expect("verify read");
+            let mut cursor = 0u64;
+            for (x0, xl, y, z) in runs {
+                let want = run_payload(&cfg, x0, xl, y, z, dump);
+                assert_eq!(
+                    got.slice(cursor, want.len),
+                    want,
+                    "verification mismatch at (y={y}, z={z})"
+                );
+                cursor += want.len;
             }
         }
     }
@@ -345,16 +338,11 @@ fn run_offset(n: u64, x0: u64, y: u64, z: u64) -> u64 {
     ((z * n + y) * n + x0) * CELL
 }
 
-fn run_bytes_payload(
-    cfg: &BtioConfig,
-    x0: u64,
-    xlen: u64,
-    y: u64,
-    z: u64,
-    dump: u32,
-) -> Option<Vec<u8>> {
+/// The x-run of `xlen` cells from `(x0, y, z)` at `dump`: real bytes in
+/// stored mode, the length alone otherwise.
+fn run_payload(cfg: &BtioConfig, x0: u64, xlen: u64, y: u64, z: u64, dump: u32) -> Payload {
     if !cfg.stored {
-        return None;
+        return Payload::synthetic(xlen * CELL);
     }
     let mut out = Vec::with_capacity((xlen * CELL) as usize);
     for x in x0..x0 + xlen {
@@ -362,7 +350,7 @@ fn run_bytes_payload(
             out.extend_from_slice(&cell_value(x, y, z, var, dump).to_le_bytes());
         }
     }
-    Some(out)
+    Payload::bytes(out)
 }
 
 /// Unoptimized dump: one seek + write per x-run of each owned cell.
@@ -383,10 +371,9 @@ async fn dump_direct(
             for y in y0..y0 + yl {
                 let off = base + run_offset(n, x0, y, z);
                 fh.seek(off).await;
-                match run_bytes_payload(cfg, x0, xl, y, z, dump) {
-                    Some(bytes) => fh.write(bytes).await.expect("write run"),
-                    None => fh.write_discard(xl * CELL).await.expect("write run"),
-                }
+                fh.write(run_payload(cfg, x0, xl, y, z, dump))
+                    .await
+                    .expect("write run");
             }
         }
     }
@@ -410,11 +397,10 @@ async fn dump_collective(
         let (z0, zl) = ext[cz as usize];
         for z in z0..z0 + zl {
             for y in y0..y0 + yl {
-                let off = base + run_offset(n, x0, y, z);
-                match run_bytes_payload(cfg, x0, xl, y, z, dump) {
-                    Some(bytes) => pieces.push(Piece::bytes(off, bytes)),
-                    None => pieces.push(Piece::synthetic(off, xl * CELL)),
-                }
+                pieces.push(Piece {
+                    offset: base + run_offset(n, x0, y, z),
+                    payload: run_payload(cfg, x0, xl, y, z, dump),
+                });
             }
         }
     }

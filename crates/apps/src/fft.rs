@@ -233,22 +233,12 @@ async fn fft_pass_columns(
     let mut c = c_lo;
     while c < c_hi {
         let w = panel_w.min(c_hi - c);
-        if cfg.stored {
-            let raw = arr.read_block_raw(0, c, n, w).await.expect("read panel");
-            let out = fft_block_columns(&raw, n, w);
-            ctx.machine.compute(dsp::fft_flops(n) * w as f64).await;
-            arr.write_block_raw(0, c, n, w, out)
-                .await
-                .expect("write panel");
-        } else {
-            arr.read_block_discard(0, c, n, w)
-                .await
-                .expect("read panel");
-            ctx.machine.compute(dsp::fft_flops(n) * w as f64).await;
-            arr.write_block_discard(0, c, n, w)
-                .await
-                .expect("write panel");
-        }
+        let raw = arr.read_block_raw(0, c, n, w).await.expect("read panel");
+        let out = raw.map(|d| fft_block_columns(&d.flatten(), n, w));
+        ctx.machine.compute(dsp::fft_flops(n) * w as f64).await;
+        arr.write_block_raw(0, c, n, w, out)
+            .await
+            .expect("write panel");
         c += w;
     }
 }
@@ -267,22 +257,12 @@ async fn fft_pass_rows(
     let mut r = r_lo;
     while r < r_hi {
         let h = panel_h.min(r_hi - r);
-        if cfg.stored {
-            let raw = arr.read_block_raw(r, 0, h, n).await.expect("read panel");
-            let out = fft_block_rows(&raw, h, n);
-            ctx.machine.compute(dsp::fft_flops(n) * h as f64).await;
-            arr.write_block_raw(r, 0, h, n, out)
-                .await
-                .expect("write panel");
-        } else {
-            arr.read_block_discard(r, 0, h, n)
-                .await
-                .expect("read panel");
-            ctx.machine.compute(dsp::fft_flops(n) * h as f64).await;
-            arr.write_block_discard(r, 0, h, n)
-                .await
-                .expect("write panel");
-        }
+        let raw = arr.read_block_raw(r, 0, h, n).await.expect("read panel");
+        let out = raw.map(|d| fft_block_rows(&d.flatten(), h, n));
+        ctx.machine.compute(dsp::fft_flops(n) * h as f64).await;
+        arr.write_block_raw(r, 0, h, n, out)
+            .await
+            .expect("write panel");
         r += h;
     }
 }
@@ -301,22 +281,12 @@ async fn transpose_optimized(
     let mut c = c_lo;
     while c < c_hi {
         let w = panel_w.min(c_hi - c);
-        if cfg.stored {
-            let raw = a.read_block_raw(0, c, n, w).await.expect("read A panel");
-            let t = transpose_raw(&raw, n, w);
-            charge_copy(ctx, n * w * CPX).await;
-            b.write_block_raw(c, 0, w, n, t)
-                .await
-                .expect("write B panel");
-        } else {
-            a.read_block_discard(0, c, n, w)
-                .await
-                .expect("read A panel");
-            charge_copy(ctx, n * w * CPX).await;
-            b.write_block_discard(c, 0, w, n)
-                .await
-                .expect("write B panel");
-        }
+        let raw = a.read_block_raw(0, c, n, w).await.expect("read A panel");
+        let t = raw.map(|d| transpose_raw(&d.flatten(), n, w));
+        charge_copy(ctx, n * w * CPX).await;
+        b.write_block_raw(c, 0, w, n, t)
+            .await
+            .expect("write B panel");
         c += w;
     }
 }
@@ -344,22 +314,12 @@ async fn transpose_unoptimized(
         let mut c = c_lo;
         while c < c_hi {
             let tw = tile_w.min(c_hi - c);
-            if cfg.stored {
-                let raw = a.read_block_raw(r, c, tr, tw).await.expect("read A tile");
-                let t = transpose_raw(&raw, tr, tw);
-                charge_copy(ctx, tr * tw * CPX).await;
-                b.write_block_raw(c, r, tw, tr, t)
-                    .await
-                    .expect("write B tile");
-            } else {
-                a.read_block_discard(r, c, tr, tw)
-                    .await
-                    .expect("read A tile");
-                charge_copy(ctx, tr * tw * CPX).await;
-                b.write_block_discard(c, r, tw, tr)
-                    .await
-                    .expect("write B tile");
-            }
+            let raw = a.read_block_raw(r, c, tr, tw).await.expect("read A tile");
+            let t = raw.map(|d| transpose_raw(&d.flatten(), tr, tw));
+            charge_copy(ctx, tr * tw * CPX).await;
+            b.write_block_raw(c, r, tw, tr, t)
+                .await
+                .expect("write B tile");
             c += tw;
         }
         r += tr;
@@ -475,7 +435,7 @@ async fn rank_program_capture(
         .await
         .expect("reopen B");
         let raw = b.read_block_raw(0, 0, n, n).await.expect("read all of B");
-        *cap.borrow_mut() = raw;
+        *cap.borrow_mut() = raw.data.expect("fft.B is stored").flatten();
     }
 }
 

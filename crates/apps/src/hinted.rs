@@ -43,11 +43,6 @@ use crate::{ast, btio, fft, scf11, scf30};
 /// The workloads the advisor can evaluate, in report order.
 pub const WORKLOADS: [&str; 6] = ["scf11", "scf30", "fft", "btio", "ast", "synth"];
 
-/// True when `name` names an advisable workload.
-pub fn is_workload(name: &str) -> bool {
-    WORKLOADS.contains(&name)
-}
-
 /// Stable index of a workload name in [`WORKLOADS`] (memo-key material).
 pub fn workload_index(name: &str) -> Option<usize> {
     WORKLOADS.iter().position(|w| *w == name)

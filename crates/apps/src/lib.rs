@@ -14,4 +14,4 @@ pub mod scf11;
 pub mod scf30;
 
 pub use common::{run_ranks, with_cache_mb, with_queue_depth, AppCtx, RunResult};
-pub use hinted::{is_workload, run_hinted, workload_index, RunSummary, WORKLOADS};
+pub use hinted::{run_hinted, workload_index, RunSummary, WORKLOADS};

@@ -26,6 +26,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use iosim_buf::Payload;
 use iosim_core::prefetch::Prefetcher;
 use iosim_machine::{presets, Interface};
 use iosim_pfs::{CreateOptions, IoRequest};
@@ -253,9 +254,12 @@ async fn rank_program(ctx: AppCtx, cfg: Scf11Config) -> SimDuration {
         if iface == Interface::Passion {
             fh.seek(written).await;
         }
-        fh.writev_discard(&IoRequest::contiguous(written, len))
-            .await
-            .expect("write chunk");
+        fh.writev(
+            &IoRequest::contiguous(written, len),
+            Payload::synthetic(len),
+        )
+        .await
+        .expect("write chunk");
         writes += 1;
         if writes.is_multiple_of(FLUSH_EVERY) {
             fh.flush().await;
@@ -296,7 +300,7 @@ async fn rank_program(ctx: AppCtx, cfg: Scf11Config) -> SimDuration {
                     if cfg.version == Scf11Version::Passion {
                         fh.seek(off).await;
                     }
-                    fh.readv_discard(&IoRequest::contiguous(off, len))
+                    fh.readv(&IoRequest::contiguous(off, len))
                         .await
                         .expect("read chunk");
                     fg_io += h.now() - t;

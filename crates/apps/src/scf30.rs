@@ -19,10 +19,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use iosim_buf::Payload;
 use iosim_core::balanced::{default_tolerance, plan_balance, SemiDirect};
 use iosim_core::prefetch::Prefetcher;
 use iosim_machine::{presets, Interface};
-use iosim_msg::{MatchSrc, Payload};
+use iosim_msg::MatchSrc;
 use iosim_pfs::{CreateOptions, IoRequest};
 
 use crate::common::{run_ranks, AppCtx, RunResult};
@@ -159,9 +160,12 @@ async fn rank_program(ctx: AppCtx, cfg: Scf30Config) -> u64 {
         ctx.machine.compute(my_eval_flops / n_chunks as f64).await;
         let len = WRITE_CHUNK.min(my_disk - written);
         if len > 0 {
-            fh.writev_discard(&IoRequest::contiguous(written, len))
-                .await
-                .expect("write");
+            fh.writev(
+                &IoRequest::contiguous(written, len),
+                Payload::synthetic(len),
+            )
+            .await
+            .expect("write");
             written += len;
         }
     }
@@ -193,15 +197,14 @@ async fn rank_program(ctx: AppCtx, cfg: Scf30Config) -> u64 {
             let tag = 7_000 + i as u64;
             if m.from == rank {
                 my_size -= m.bytes;
-                fh.read_discard_at(my_size, m.bytes)
-                    .await
-                    .expect("read surplus");
-                ctx.comm.send(m.to, tag, Payload::synthetic(m.bytes)).await;
+                let surplus = fh.read_at(my_size, m.bytes).await.expect("read surplus");
+                ctx.comm.send(m.to, tag, surplus).await;
                 moved_bytes += m.bytes;
             } else if m.to == rank {
                 let (_, pl) = ctx.comm.recv(MatchSrc::Rank(m.from), tag).await;
-                fh.write_discard_at(my_size, pl.len).await.expect("append");
-                my_size += pl.len;
+                let len = pl.len;
+                fh.write_at(my_size, pl).await.expect("append");
+                my_size += len;
             }
         }
         ctx.comm.barrier().await;
@@ -226,7 +229,7 @@ async fn rank_program(ctx: AppCtx, cfg: Scf30Config) -> u64 {
                 let mut off = 0u64;
                 while off < my_size {
                     let len = READ_CHUNK.min(my_size - off);
-                    fh.readv_discard(&IoRequest::contiguous(off, len))
+                    fh.readv(&IoRequest::contiguous(off, len))
                         .await
                         .expect("read");
                     off += len;

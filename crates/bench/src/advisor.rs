@@ -70,9 +70,9 @@ fn memo_key(workload: &'static str, canonical: &Hints, scale: f64) -> MemoKey {
 }
 
 /// Bounded LRU memo cache over evaluation summaries, on the buffer
-/// cache's [`LruSlab`] (entries are never dirty). Capacity 0 disables
-/// memoization (every lookup misses, nothing is stored) — the "naive"
-/// arm of the throughput benchmark.
+/// cache's [`LruSlab`] (entries are never dirty). Capacity 0
+/// (`iosim advise --memo 0`) disables memoization: every lookup misses
+/// and nothing is stored, so every unique query is simulated.
 pub struct MemoCache {
     cap: usize,
     lru: LruSlab<MemoKey, RunSummary>,

@@ -8,8 +8,11 @@
 //! paper's measurement (106 ms original, 59.7 ms PASSION).
 //!
 //! ```text
-//! cargo run --release -p iosim-bench --bin calibrate
+//! cargo run --release -p iosim-bench --bin calibrate [SCALE]
 //! ```
+//!
+//! `SCALE` (default 0.1) must be a finite number above zero; anything
+//! else, or a second argument, exits 2 with a message.
 
 use iosim_apps::scf11::{run, Scf11Config, Scf11Version, ScfInput};
 use iosim_bench::parallel::{default_threads, map_parallel};
@@ -29,10 +32,16 @@ fn mean_read_ms(version: Scf11Version, scale: f64) -> f64 {
 }
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.1f64);
+    let mut args = std::env::args().skip(1);
+    let scale = match args.next() {
+        Some(s) => iosim_bench::parse_scale(&s).unwrap_or_else(|e| die(&e)),
+        None => 0.1,
+    };
+    if let Some(extra) = args.next() {
+        die(&format!(
+            "unexpected argument '{extra}' (usage: calibrate [SCALE])"
+        ));
+    }
     println!("calibration check at scale {scale} (Table 2/3 workload)\n");
 
     let jobs = vec![Scf11Version::Original, Scf11Version::Passion];
@@ -68,4 +77,9 @@ fn main() {
         println!("\nWARNING: calibration drifted beyond 25%");
         std::process::exit(1);
     }
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("calibrate: {msg}");
+    std::process::exit(2);
 }

@@ -53,10 +53,8 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
+                let s = args.next().unwrap_or_else(|| die("--scale needs a number"));
+                scale = iosim_bench::parse_scale(&s).unwrap_or_else(|e| die(&e));
             }
             "--write-md" => {
                 write_md = Some(

@@ -6,6 +6,7 @@
 
 use iosim_apps::common::run_ranks;
 use iosim_apps::scf11::{Scf11Config, Scf11Version, ScfInput};
+use iosim_buf::Payload;
 use iosim_core::sieve::write_sieved;
 use iosim_core::two_phase::{write_collective, write_collective_buffered, Piece};
 use iosim_machine::{presets, Interface};
@@ -92,7 +93,7 @@ fn run_scf11_degraded(cfg: &Scf11Config, hot_speed: f64) -> f64 {
                 let mut off = 0u64;
                 while off < per_proc {
                     let len = (64 << 10).min(per_proc - off);
-                    fh.read_discard_at(off, len).await.expect("read");
+                    fh.read_at(off, len).await.expect("read");
                     off += len;
                 }
             }
@@ -136,7 +137,7 @@ pub fn ext_sieve_vs_two_phase(scale: f64) -> ExperimentReport {
                         "direct" => {
                             for p in pieces {
                                 fh.seek(p.offset).await;
-                                fh.write_discard(p.payload.len).await.expect("write");
+                                fh.write(p.payload).await.expect("write");
                             }
                         }
                         "sieved" => {
@@ -625,16 +626,20 @@ pub fn ext_listio_ablation(scale: f64) -> ExperimentReport {
                         fh.preallocate(req.end());
                         if listio {
                             if write {
-                                fh.writev_discard(&req).await.expect("writev");
+                                fh.writev(&req, Payload::synthetic(req.total_bytes()))
+                                    .await
+                                    .expect("writev");
                             } else {
-                                fh.readv_discard(&req).await.expect("readv");
+                                fh.readv(&req).await.expect("readv");
                             }
                         } else {
                             for &(off, len) in req.extents() {
                                 if write {
-                                    fh.write_discard_at(off, len).await.expect("write");
+                                    fh.write_at(off, Payload::synthetic(len))
+                                        .await
+                                        .expect("write");
                                 } else {
-                                    fh.read_discard_at(off, len).await.expect("read");
+                                    fh.read_at(off, len).await.expect("read");
                                 }
                             }
                         }
@@ -785,17 +790,21 @@ pub fn ext_queue_ablation(scale: f64) -> ExperimentReport {
                     0 => {
                         for &(off, len) in req.extents() {
                             if is_write {
-                                fh.write_discard_at(off, len).await.expect("write");
+                                fh.write_at(off, Payload::synthetic(len))
+                                    .await
+                                    .expect("write");
                             } else {
-                                fh.read_discard_at(off, len).await.expect("read");
+                                fh.read_at(off, len).await.expect("read");
                             }
                         }
                     }
                     1 => {
                         if is_write {
-                            fh.writev_discard(&req).await.expect("writev");
+                            fh.writev(&req, Payload::synthetic(req.total_bytes()))
+                                .await
+                                .expect("writev");
                         } else {
-                            fh.readv_discard(&req).await.expect("readv");
+                            fh.readv(&req).await.expect("readv");
                         }
                     }
                     _ => {

@@ -10,3 +10,14 @@
 pub mod advisor;
 pub mod experiments;
 pub mod parallel;
+
+/// Parse a problem-size scale factor (`repro --scale X`, `calibrate
+/// [SCALE]`): a finite number above zero.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!(
+            "scale must be a finite number above zero, got '{s}'"
+        )),
+    }
+}

@@ -8,6 +8,8 @@
 //! allocation without a memcpy) with O(1) [`Bytes::slice`]; [`BytesList`]
 //! is a small rope of such views so concatenation (message encode, run
 //! merging, vectored writes) is O(segments) instead of O(bytes).
+//! [`Payload`] carries either such a rope or only a length, for messages
+//! and file operations alike.
 //!
 //! Every operation that really allocates or memcpys data-plane bytes
 //! ticks a thread-local [`tally`]: the benchmark reports it per job as
@@ -562,6 +564,109 @@ impl<const N: usize> From<&[u8; N]> for BytesList {
     }
 }
 
+/// Data that is either real bytes or only a length: the one currency of
+/// messages and file operations.
+///
+/// Real bytes travel as a [`BytesList`] rope of shared buffers, so
+/// building a message from fragments (two-phase encode, run merging),
+/// cloning a payload per destination (collectives) and reading a stored
+/// file's extents never copy data — only [`Payload::into_bytes`] /
+/// [`Payload::to_bytes`] on a multi-segment rope materialize contiguous
+/// storage. A synthetic payload (`data: None`) carries the length alone:
+/// it costs the same virtual time and moves no byte, which is how the
+/// paper-scale workloads run. A read of a synthetic file returns one; a
+/// write of one to a stored file grows the file without storing bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Payload {
+    /// Length in bytes (always meaningful for timing).
+    pub len: u64,
+    /// The bytes, when carried.
+    pub data: Option<BytesList>,
+}
+
+impl Payload {
+    /// A payload carrying real bytes (accepts `Vec<u8>`, `Bytes`, or a
+    /// prebuilt rope).
+    pub fn bytes(data: impl Into<BytesList>) -> Payload {
+        let data = data.into();
+        Payload {
+            len: data.len(),
+            data: Some(data),
+        }
+    }
+
+    /// A timing-only payload of `len` bytes.
+    pub fn synthetic(len: u64) -> Payload {
+        Payload { len, data: None }
+    }
+
+    /// An empty payload (control message).
+    pub fn empty() -> Payload {
+        Payload::bytes(BytesList::new())
+    }
+
+    /// The sub-range `[off, off + len)`: a shared view of the carried
+    /// bytes, or a synthetic payload of `len` bytes (no copy either way).
+    ///
+    /// # Panics
+    /// Panics if the range falls outside the payload.
+    pub fn slice(&self, off: u64, len: u64) -> Payload {
+        match &self.data {
+            Some(d) => Payload::bytes(d.slice(off, len)),
+            None => {
+                assert!(
+                    off.checked_add(len).is_some_and(|end| end <= self.len),
+                    "slice [{off}, {off}+{len}) outside payload of {} bytes",
+                    self.len
+                );
+                Payload::synthetic(len)
+            }
+        }
+    }
+
+    /// Replace the carried bytes with `f(bytes)`, keeping a synthetic
+    /// payload synthetic (a transform of data that is not there costs no
+    /// host work; its length is kept).
+    pub fn map<T: Into<BytesList>>(self, f: impl FnOnce(BytesList) -> T) -> Payload {
+        match self.data {
+            Some(d) => Payload::bytes(f(d)),
+            None => self,
+        }
+    }
+
+    /// The carried bytes as one contiguous buffer. Header-only messages
+    /// (`data: None`) yield an empty buffer — callers that need to
+    /// distinguish "no data" from "empty data" check `data` directly.
+    pub fn into_bytes(self) -> Bytes {
+        self.data.map(|d| d.flatten()).unwrap_or_default()
+    }
+
+    /// Like [`Payload::into_bytes`], without consuming the payload.
+    pub fn to_bytes(&self) -> Bytes {
+        self.data.as_ref().map(|d| d.flatten()).unwrap_or_default()
+    }
+}
+
+/// Anything that converts into a rope converts into a payload carrying
+/// it (a blanket impl would overlap `From<Payload> for Payload`).
+macro_rules! payload_from_bytes {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Payload {
+            fn from(d: $t) -> Payload {
+                Payload::bytes(d)
+            }
+        }
+    )*};
+}
+
+payload_from_bytes!(BytesList, Bytes, Vec<u8>, &Vec<u8>, &[u8]);
+
+impl<const N: usize> From<&[u8; N]> for Payload {
+    fn from(a: &[u8; N]) -> Payload {
+        Payload::bytes(a)
+    }
+}
+
 /// FNV-1a over a byte stream: the oracle hash used by the stored-bytes
 /// equivalence tests (stable, dependency-free).
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -732,6 +837,45 @@ mod tests {
         assert_eq!(z.len(), (1 << 20) + 17);
         assert!(z.iter_bytes().all(|b| b == 0));
         assert_eq!(tally::snapshot(), tally::DataPlaneTally::default());
+    }
+
+    #[test]
+    fn into_bytes_of_header_only_payload_is_empty() {
+        // Regression: this used to panic ("payload is synthetic") on
+        // `data: None`, taking down receivers of header-only messages.
+        assert!(Payload::synthetic(64).into_bytes().is_empty());
+        assert!(Payload::synthetic(0).to_bytes().is_empty());
+        assert!(Payload::empty().into_bytes().is_empty());
+    }
+
+    #[test]
+    fn payload_clone_shares_buffers_without_copying() {
+        let p = Payload::bytes(vec![1, 2, 3, 4]);
+        tally::reset();
+        let q = p.clone();
+        assert_eq!(p, q);
+        let t = tally::snapshot();
+        assert_eq!(t.bytes_copied, 0);
+        assert_eq!(t.bytes_allocated, 0);
+    }
+
+    #[test]
+    fn payload_slice_and_map_keep_synthetic_payloads_synthetic() {
+        let real = Payload::bytes(vec![1, 2, 3, 4]);
+        assert_eq!(real.slice(1, 2), Payload::bytes(vec![2, 3]));
+        assert_eq!(real.clone().map(|d| d.to_vec()), real);
+        let syn = Payload::synthetic(4);
+        assert_eq!(syn.slice(1, 2), Payload::synthetic(2));
+        assert_eq!(
+            syn.map(|_| -> Vec<u8> { unreachable!("no bytes to map") }),
+            Payload::synthetic(4)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside payload")]
+    fn synthetic_slice_checks_its_range() {
+        let _ = Payload::synthetic(4).slice(3, 2);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use std::rc::Rc;
 
-use iosim_msg::{Comm, Payload};
+use iosim_buf::Payload;
+use iosim_msg::Comm;
 use iosim_pfs::{CreateOptions, FileHandle, FileSystem, FsError, IoRequest};
 
 use crate::two_phase::{read_collective, write_collective, Piece, Span};
@@ -159,6 +160,10 @@ impl Checkpointer {
     /// recovering after failure). Collective only in that every rank may
     /// call it; all records travel as one vectored read (adjacent records
     /// coalesce into one sequential disk access).
+    ///
+    /// # Panics
+    /// Panics if the checkpointer was opened with `stored = false`: a
+    /// synthetic metadata file holds no records to read back.
     pub async fn recover_index(&mut self) -> Result<(), FsError> {
         let p = self.comm.size();
         let rec = Self::meta_record_size(p);
@@ -168,7 +173,10 @@ impl Checkpointer {
         let all = self
             .meta
             .readv(&IoRequest::strided(0, rec, rec, records))
-            .await?;
+            .await?
+            .data
+            .unwrap_or_else(|| panic!("{} is synthetic: no index to recover", self.meta.name()))
+            .flatten();
         for bytes in all.chunks_exact(rec as usize) {
             let epoch = u64::from_le_bytes(bytes[..8].try_into().expect("8"));
             let base = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));

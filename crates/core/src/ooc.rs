@@ -16,10 +16,16 @@
 //! column-major one side of the transpose always accesses across the
 //! layout, generating thousands of small strided I/O calls. Storing one
 //! array row-major makes *both* sides contiguous.
+//!
+//! Block accesses move [`Payload`]s: a stored array's blocks carry real
+//! bytes, a synthetic array's carry their length alone, and both cost
+//! the same virtual time, so callers pass whatever they read through a
+//! transform ([`Payload::map`]) and back to the write without branching
+//! on the array kind.
 
 use std::rc::Rc;
 
-use iosim_buf::{tally, Bytes, BytesList};
+use iosim_buf::{tally, Bytes, BytesList, Payload};
 use iosim_machine::Interface;
 use iosim_pfs::{CreateOptions, FileHandle, FileSystem, FsError, IoRequest};
 
@@ -198,81 +204,84 @@ impl OocArray {
     }
 
     /// Read the block into a row-major local byte buffer (element
-    /// `(r0+i, c0+j)` at byte index `(i * nc + j) * elem`). Requires a
-    /// stored array. The segments travel as one vectored request.
-    /// When the corner turn is the identity the returned buffer is a
-    /// shared view of the stored extents — nothing is copied.
+    /// `(r0+i, c0+j)` at byte index `(i * nc + j) * elem`). The segments
+    /// travel as one vectored request. A synthetic array returns a
+    /// synthetic payload of the block's size, with the same timing. When
+    /// the corner turn is the identity the returned bytes are shared
+    /// views of the stored extents — nothing is copied.
     pub async fn read_block_raw(
         &self,
         r0: u64,
         c0: u64,
         nr: u64,
         nc: u64,
-    ) -> Result<Bytes, FsError> {
+    ) -> Result<Payload, FsError> {
         let data = self.fh.readv(&self.block_request(r0, c0, nr, nc)).await?;
         if self.corner_turn_is_identity(nr, nc) {
             return Ok(data);
         }
-        let mut out = vec![0u8; (nr * nc * self.elem) as usize];
-        let mut cursor = 0usize;
-        for (offset, bytes) in self.block_segments(r0, c0, nr, nc) {
-            self.scatter(
-                offset,
-                &data[cursor..cursor + bytes as usize],
-                r0,
-                c0,
-                nc,
-                &mut out,
-            );
-            cursor += bytes as usize;
-        }
-        Ok(Bytes::from_vec(out))
+        Ok(data.map(|rope| {
+            let data = rope.flatten();
+            let mut out = vec![0u8; (nr * nc * self.elem) as usize];
+            let mut cursor = 0usize;
+            for (offset, bytes) in self.block_segments(r0, c0, nr, nc) {
+                self.scatter(
+                    offset,
+                    &data[cursor..cursor + bytes as usize],
+                    r0,
+                    c0,
+                    nc,
+                    &mut out,
+                );
+                cursor += bytes as usize;
+            }
+            out
+        }))
     }
 
     /// Write a row-major local byte buffer into the block (inverse of
-    /// [`OocArray::read_block_raw`]). Pass an owned buffer to adopt it
-    /// without copying; when the corner turn is the identity the
-    /// segments are sliced straight out of it, and otherwise each
-    /// gathered segment (a genuine reshuffle, counted in `gather`) is
-    /// adopted into the write rope directly.
+    /// [`OocArray::read_block_raw`]); a synthetic payload writes the
+    /// block timing-only. Pass an owned buffer to adopt it without
+    /// copying; when the corner turn is the identity the segments are
+    /// sliced straight out of it, and otherwise each gathered segment (a
+    /// genuine reshuffle, counted in `gather`) is adopted into the write
+    /// rope directly.
     pub async fn write_block_raw(
         &self,
         r0: u64,
         c0: u64,
         nr: u64,
         nc: u64,
-        buf: impl Into<Bytes>,
+        buf: impl Into<Payload>,
     ) -> Result<(), FsError> {
         let buf = buf.into();
-        assert_eq!(
-            buf.len() as u64,
-            nr * nc * self.elem,
-            "buffer size mismatch"
-        );
+        assert_eq!(buf.len, nr * nc * self.elem, "buffer size mismatch");
         let segments = self.block_segments(r0, c0, nr, nc);
-        let mut data = BytesList::new();
-        if self.corner_turn_is_identity(nr, nc) {
-            let mut cursor = 0usize;
-            for &(_, bytes) in &segments {
-                data.push(buf.slice(cursor, bytes as usize));
-                cursor += bytes as usize;
-            }
+        let data = if self.corner_turn_is_identity(nr, nc) {
+            buf
         } else {
-            for &(offset, bytes) in &segments {
-                data.push(Bytes::from_vec(
-                    self.gather(offset, bytes, r0, c0, nc, &buf),
-                ));
-            }
-        }
+            buf.map(|rope| {
+                let buf = rope.flatten();
+                let mut data = BytesList::new();
+                for &(offset, bytes) in &segments {
+                    data.push(Bytes::from_vec(
+                        self.gather(offset, bytes, r0, c0, nc, &buf),
+                    ));
+                }
+                data
+            })
+        };
         self.fh
             .writev(&IoRequest::from_extents(segments), data)
-            .await?;
-        Ok(())
+            .await
     }
 
     /// Read the block into a row-major `f64` buffer
-    /// (`buf[i * nc + j] = a[r0+i][c0+j]`). Requires a stored array with
-    /// 8-byte elements.
+    /// (`buf[i * nc + j] = a[r0+i][c0+j]`).
+    ///
+    /// # Panics
+    /// Panics on a synthetic array (it holds no values) or on elements
+    /// that are not 8 bytes.
     pub async fn read_block(
         &self,
         r0: u64,
@@ -281,25 +290,16 @@ impl OocArray {
         nc: u64,
     ) -> Result<Vec<f64>, FsError> {
         assert_eq!(self.elem, 8, "f64 accessors need 8-byte elements");
-        let raw = self.read_block_raw(r0, c0, nr, nc).await?;
+        let raw = self
+            .read_block_raw(r0, c0, nr, nc)
+            .await?
+            .data
+            .unwrap_or_else(|| panic!("read_block of synthetic array {}", self.fh.name()))
+            .flatten();
         Ok(raw
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
-    }
-
-    /// Read the block, discarding data (works on synthetic arrays; same
-    /// timing and trace as [`OocArray::read_block`]).
-    pub async fn read_block_discard(
-        &self,
-        r0: u64,
-        c0: u64,
-        nr: u64,
-        nc: u64,
-    ) -> Result<(), FsError> {
-        self.fh
-            .readv_discard(&self.block_request(r0, c0, nr, nc))
-            .await
     }
 
     /// Write a row-major `f64` buffer into the block. Requires lengths to
@@ -316,19 +316,6 @@ impl OocArray {
         assert_eq!(buf.len() as u64, nr * nc, "buffer size mismatch");
         let raw: Vec<u8> = buf.iter().flat_map(|v| v.to_le_bytes()).collect();
         self.write_block_raw(r0, c0, nr, nc, raw).await
-    }
-
-    /// Write the block timing-only.
-    pub async fn write_block_discard(
-        &self,
-        r0: u64,
-        c0: u64,
-        nr: u64,
-        nc: u64,
-    ) -> Result<(), FsError> {
-        self.fh
-            .writev_discard(&self.block_request(r0, c0, nr, nc))
-            .await
     }
 
     /// Close the backing file handle (cost + trace).
@@ -548,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn discard_variants_work_on_synthetic() {
+    fn synthetic_arrays_move_lengths_only() {
         run(|fs| {
             Box::pin(async move {
                 let a = OocArray::create(
@@ -563,8 +550,11 @@ mod tests {
                 )
                 .await
                 .unwrap();
-                a.write_block_discard(0, 0, 64, 64).await.unwrap();
-                a.read_block_discard(0, 0, 64, 32).await.unwrap();
+                a.write_block_raw(0, 0, 64, 64, Payload::synthetic(64 * 64 * 8))
+                    .await
+                    .unwrap();
+                let back = a.read_block_raw(0, 0, 64, 32).await.unwrap();
+                assert_eq!(back, Payload::synthetic(64 * 32 * 8));
             })
         });
     }
@@ -590,7 +580,7 @@ mod tests {
                 let block: Vec<u8> = (0..2 * 3 * 16).map(|i| (i % 251) as u8).collect();
                 a.write_block_raw(1, 2, 2, 3, block.clone()).await.unwrap();
                 let back = a.read_block_raw(1, 2, 2, 3).await.unwrap();
-                back == block
+                back == Payload::bytes(block)
             })
         });
         assert!(ok);

@@ -66,7 +66,7 @@ impl Prefetcher {
             self.next_issue = off + len;
             let fh = Rc::clone(&self.fh);
             let h = fh.sim_handle();
-            let jh = h.spawn(async move { fh.read_discard_at(off, len).await });
+            let jh = h.spawn(async move { fh.read_at(off, len).await.map(|_| ()) });
             self.inflight.push_back((len, jh));
         }
     }
@@ -135,7 +135,7 @@ mod tests {
                 None => {
                     let mut off = 0u64;
                     while off < 64 << 20 {
-                        fh.read_discard_at(off, 1 << 20).await.unwrap();
+                        fh.read_at(off, 1 << 20).await.unwrap();
                         off += 1 << 20;
                     }
                 }

@@ -8,7 +8,7 @@
 //! read-modify-writes the extent. Best when the access density within the
 //! extent is high and no peer processes are available to exchange with.
 
-use iosim_msg::Payload;
+use iosim_buf::Payload;
 use iosim_pfs::{ExtentTree, FileHandle, FsError, IoRequest};
 
 use crate::two_phase::{Piece, Span};
@@ -71,36 +71,34 @@ pub async fn write_sieved(fh: &FileHandle, pieces: Vec<Piece>) -> Result<SieveSt
     let useful: u64 = pieces.iter().map(|p| p.payload.len).sum();
     let covered = fully_covers(&pieces, lo, hi);
     let mut io_calls = 0u64;
-    let all_real = pieces.iter().all(|p| p.payload.data.is_some());
-    if all_real {
-        // Overlay the pieces on the background content (read back only
-        // when the pieces leave holes) in a scratch extent tree — the
-        // merge is pure view bookkeeping, no byte is copied.
-        let mut overlay = ExtentTree::new();
-        if !(covered || lo >= fh.size()) {
-            // Read-modify-write: fetch the extent (clipped to EOF).
-            io_calls += 1;
-            let have = fh.size().min(hi) - lo;
-            let b = fh.readv(&IoRequest::contiguous(lo, have)).await?;
-            overlay.write(0, b);
-        }
-        for p in &pieces {
-            let d = p.payload.data.as_ref().expect("all real");
-            overlay.write_list(p.offset - lo, d);
-        }
-        let buf = overlay.read(0, hi - lo);
-        fh.writev(&IoRequest::contiguous(lo, hi - lo), buf).await?;
+    // With real bytes in every piece, overlay them on the background
+    // content in a scratch extent tree — the merge is pure view
+    // bookkeeping, no byte is copied. Otherwise the write is timing-only.
+    let mut overlay = pieces
+        .iter()
+        .all(|p| p.payload.data.is_some())
+        .then(ExtentTree::new);
+    if !covered && lo < fh.size() {
+        // Read-modify-write: fetch the extent (clipped to EOF).
         io_calls += 1;
-    } else {
-        if !covered && lo < fh.size() {
-            io_calls += 1;
-            fh.readv_discard(&IoRequest::contiguous(lo, fh.size().min(hi) - lo))
-                .await?;
+        let have = fh.size().min(hi) - lo;
+        let background = fh.readv(&IoRequest::contiguous(lo, have)).await?;
+        if let (Some(tree), Some(b)) = (&mut overlay, &background.data) {
+            tree.write_list(0, b);
         }
-        fh.writev_discard(&IoRequest::contiguous(lo, hi - lo))
-            .await?;
-        io_calls += 1;
     }
+    let data = match overlay {
+        Some(mut tree) => {
+            for p in &pieces {
+                let d = p.payload.data.as_ref().expect("all real");
+                tree.write_list(p.offset - lo, d);
+            }
+            Payload::bytes(tree.read(0, hi - lo))
+        }
+        None => Payload::synthetic(hi - lo),
+    };
+    fh.writev(&IoRequest::contiguous(lo, hi - lo), data).await?;
+    io_calls += 1;
     Ok(SieveStats {
         extent_bytes: (hi - lo) * io_calls,
         useful_bytes: useful,
@@ -124,24 +122,12 @@ pub async fn read_sieved(
         useful_bytes: useful,
         io_calls: 1,
     };
-    let req = Span::new(lo, hi - lo).to_request();
-    match fh.readv(&req).await {
-        Ok(buf) => {
-            let out = spans
-                .iter()
-                .map(|s| Payload::bytes(buf.slice((s.offset - lo) as usize, s.len as usize)))
-                .collect();
-            Ok((out, stats))
-        }
-        Err(FsError::NotStored(_)) => {
-            fh.readv_discard(&req).await?;
-            Ok((
-                spans.iter().map(|s| Payload::synthetic(s.len)).collect(),
-                stats,
-            ))
-        }
-        Err(e) => Err(e),
-    }
+    let all = fh.readv(&Span::new(lo, hi - lo).to_request()).await?;
+    let out = spans
+        .iter()
+        .map(|s| all.slice(s.offset - lo, s.len))
+        .collect();
+    Ok((out, stats))
 }
 
 #[cfg(test)]
@@ -199,6 +185,7 @@ mod tests {
                 assert_eq!(stats.io_calls, 2); // read-modify-write
                 assert_eq!(stats.useful_bytes, 10);
                 let all = fh.read_at(0, 100).await.unwrap();
+                let all = all.data.expect("s is stored").flatten();
                 // Patched regions changed, holes preserved.
                 all[10..15] == [255; 5]
                     && all[40..45] == [254; 5]
@@ -282,7 +269,7 @@ mod tests {
                 let t0 = h.now();
                 for p in pieces() {
                     fh.seek(p.offset).await;
-                    fh.write_discard(p.payload.len).await.unwrap();
+                    fh.write(p.payload).await.unwrap();
                 }
                 (h.now() - t0).as_secs_f64()
             })

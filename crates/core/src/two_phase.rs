@@ -15,8 +15,8 @@
 //! redistribution actually moves the bytes, so tests can assert that the
 //! optimized file is byte-identical to the unoptimized one.
 
-use iosim_buf::{zeros, Bytes, BytesList};
-use iosim_msg::{Comm, Payload};
+use iosim_buf::{zeros, Bytes, BytesList, Payload};
+use iosim_msg::Comm;
 use iosim_pfs::{FileHandle, FsError, IoRequest};
 
 /// A piece of file data held (for writes) or wanted (for reads) by a rank.
@@ -180,15 +180,11 @@ fn split_piece(
     while off < end {
         let (dest, range_end) = locate(off);
         let take = (end - off).min(range_end - off);
-        let payload = match &piece.payload.data {
-            Some(d) => Payload::bytes(d.slice(consumed, take)),
-            None => Payload::synthetic(take),
-        };
         emit(
             dest,
             Piece {
                 offset: off,
-                payload,
+                payload: piece.payload.slice(consumed, take),
             },
         );
         off += take;
@@ -365,8 +361,11 @@ pub async fn write_collective(
         // Synthetic path: one sequential call covering the region's share.
         let len: u64 = mine.iter().map(|p| p.payload.len).sum::<u64>() + synthetic_bytes;
         if len > 0 {
-            fh.writev_discard(&Span::new(region.offset, len).to_request())
-                .await?;
+            fh.writev(
+                &Span::new(region.offset, len).to_request(),
+                Payload::synthetic(len),
+            )
+            .await?;
             io_calls = 1;
         }
     } else {
@@ -486,7 +485,9 @@ pub async fn write_collective_batched(
             extents.push((s, e - s));
         }
         if !extents.is_empty() {
-            fh.writev_discard(&IoRequest::from_extents(extents)).await?;
+            let req = IoRequest::from_extents(extents);
+            fh.writev(&req, Payload::synthetic(req.total_bytes()))
+                .await?;
             io_calls = 1;
         }
     } else {
@@ -514,11 +515,10 @@ fn clip_piece(p: &Piece, lo: u64, hi: u64) -> Option<Piece> {
     if s >= e {
         return None;
     }
-    let payload = match &p.payload.data {
-        Some(d) => Payload::bytes(d.slice(s - p.offset, e - s)),
-        None => Payload::synthetic(e - s),
-    };
-    Some(Piece { offset: s, payload })
+    Some(Piece {
+        offset: s,
+        payload: p.payload.slice(s - p.offset, e - s),
+    })
 }
 
 /// Bounded-buffer collective write: like [`write_collective`], but no
@@ -603,19 +603,12 @@ pub async fn read_collective(
         .unwrap_or(u64::MAX);
     let ext_hi = asked.iter().flatten().map(|s| s.end()).max().unwrap_or(0);
     let mut io_calls = 0u64;
-    let region_data: Option<Bytes> = if ext_lo < ext_hi {
+    let region = if ext_lo < ext_hi {
         io_calls = 1;
-        let req = Span::new(ext_lo, ext_hi - ext_lo).to_request();
-        match fh.readv(&req).await {
-            Ok(d) => Some(d),
-            Err(FsError::NotStored(_)) => {
-                fh.readv_discard(&req).await?;
-                None
-            }
-            Err(e) => return Err(e),
-        }
+        fh.readv(&Span::new(ext_lo, ext_hi - ext_lo).to_request())
+            .await?
     } else {
-        None
+        Payload::empty()
     };
 
     // Ship back: per requester, one message of its fragments.
@@ -624,12 +617,9 @@ pub async fn read_collective(
         .map(|spans| {
             let pieces: Vec<Piece> = spans
                 .iter()
-                .map(|s| match &region_data {
-                    Some(d) => Piece::bytes(
-                        s.offset,
-                        d.slice((s.offset - ext_lo) as usize, s.len as usize),
-                    ),
-                    None => Piece::synthetic(s.offset, s.len),
+                .map(|s| Piece {
+                    offset: s.offset,
+                    payload: region.slice(s.offset - ext_lo, s.len),
                 })
                 .collect();
             encode_pieces(pieces.iter())

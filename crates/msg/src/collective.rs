@@ -19,7 +19,8 @@
 //! order, and batching `barrier` reorders the polls of the runs whose
 //! schedule fingerprints the experiments report.
 
-use crate::comm::{Comm, MatchSrc, Payload};
+use crate::comm::{Comm, MatchSrc};
+use iosim_buf::Payload;
 
 impl Comm {
     /// Whether this machine's collectives may post and receive in batches:

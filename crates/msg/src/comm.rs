@@ -1,5 +1,5 @@
 //! Point-to-point communication: the [`World`], per-rank [`Comm`]
-//! endpoints, payloads, and tag-matched receive.
+//! endpoints, and tag-matched receive of [`Payload`]s.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -8,58 +8,9 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use iosim_buf::{Bytes, BytesList};
+use iosim_buf::Payload;
 use iosim_machine::Machine;
 use iosim_simkit::time::{SimDuration, SimTime};
-
-/// A message payload: real bytes or a synthetic length.
-///
-/// Real bytes travel as a [`BytesList`] rope of shared buffers, so
-/// building a message from fragments (two-phase encode, run merging) and
-/// cloning a payload per destination (collectives) never copies data —
-/// only [`Payload::into_bytes`]/[`Payload::to_bytes`] on a multi-segment
-/// rope materializes contiguous storage.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Payload {
-    /// Length in bytes (always meaningful for timing).
-    pub len: u64,
-    /// The bytes, when carried.
-    pub data: Option<BytesList>,
-}
-
-impl Payload {
-    /// A payload carrying real bytes (accepts `Vec<u8>`, `Bytes`, or a
-    /// prebuilt rope).
-    pub fn bytes(data: impl Into<BytesList>) -> Payload {
-        let data = data.into();
-        Payload {
-            len: data.len(),
-            data: Some(data),
-        }
-    }
-
-    /// A timing-only payload of `len` bytes.
-    pub fn synthetic(len: u64) -> Payload {
-        Payload { len, data: None }
-    }
-
-    /// An empty payload (control message).
-    pub fn empty() -> Payload {
-        Payload::bytes(BytesList::new())
-    }
-
-    /// The carried bytes as one contiguous buffer. Header-only messages
-    /// (`data: None`) yield an empty buffer — callers that need to
-    /// distinguish "no data" from "empty data" check `data` directly.
-    pub fn into_bytes(self) -> Bytes {
-        self.data.map(|d| d.flatten()).unwrap_or_default()
-    }
-
-    /// Like [`Payload::into_bytes`], without consuming the payload.
-    pub fn to_bytes(&self) -> Bytes {
-        self.data.as_ref().map(|d| d.flatten()).unwrap_or_default()
-    }
-}
 
 /// Source matching for receives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,23 +209,6 @@ impl Comm {
         inject_end
     }
 
-    /// Non-blocking send (MPI `Isend` style): the injection proceeds in a
-    /// background task; await the returned handle to complete the send
-    /// (MPI `Wait`). Message ordering per `(src, dst, tag)` follows the
-    /// posting order, as the mailbox enqueues at posting time.
-    pub fn isend(
-        &self,
-        dst: usize,
-        tag: u64,
-        payload: Payload,
-    ) -> iosim_simkit::executor::JoinHandle<()> {
-        let me = self.clone();
-        self.world
-            .machine()
-            .handle()
-            .spawn(async move { me.send(dst, tag, payload).await })
-    }
-
     /// Receive a message matching `(src, tag)`. Returns `(source, payload)`.
     ///
     /// Matching is FIFO per `(source, tag)` pair; the receive completes at
@@ -371,26 +305,6 @@ mod tests {
     fn world(sim: &Sim, n: usize) -> World {
         let m = Machine::new(sim.handle(), presets::paragon_small());
         World::new(m, n)
-    }
-
-    #[test]
-    fn into_bytes_of_header_only_message_is_empty() {
-        // Regression: this used to panic ("payload is synthetic") on
-        // `data: None`, taking down receivers of header-only messages.
-        assert!(Payload::synthetic(64).into_bytes().is_empty());
-        assert!(Payload::synthetic(0).to_bytes().is_empty());
-        assert!(Payload::empty().into_bytes().is_empty());
-    }
-
-    #[test]
-    fn payload_clone_shares_buffers_without_copying() {
-        let p = Payload::bytes(vec![1, 2, 3, 4]);
-        iosim_buf::tally::reset();
-        let q = p.clone();
-        assert_eq!(p, q);
-        let t = iosim_buf::tally::snapshot();
-        assert_eq!(t.bytes_copied, 0);
-        assert_eq!(t.bytes_allocated, 0);
     }
 
     #[test]
@@ -587,43 +501,24 @@ mod tests {
     }
 
     #[test]
-    fn isend_overlaps_injections_with_work() {
+    fn sends_match_in_posting_order_per_source_and_tag() {
+        // Five sends of one tag, each from its own spawned task, all
+        // posted at t = 0: the receiver matches them FIFO per
+        // (source, tag), in the order they were posted.
         let mut sim = Sim::new();
         let w = world(&sim, 2);
         let h = sim.handle();
         let c0 = w.comm(0);
         let c1 = w.comm(1);
         let jh = sim.spawn(async move {
-            // Post two non-blocking sends, "compute", then wait for both.
-            let s1 = c0.isend(1, 1, Payload::bytes(vec![1]));
-            let s2 = c0.isend(1, 2, Payload::bytes(vec![2]));
-            h.sleep(SimDuration::from_millis(5)).await;
-            s1.await;
-            s2.await;
-            let (_, a) = c1.recv(MatchSrc::Rank(0), 1).await;
-            let (_, b) = c1.recv(MatchSrc::Rank(0), 2).await;
-            (a.into_bytes(), b.into_bytes(), h.now())
-        });
-        sim.run();
-        let (a, b, t) = jh.try_take().unwrap();
-        assert_eq!(a, vec![1]);
-        assert_eq!(b, vec![2]);
-        // Small messages inject during the 5 ms of "compute": total stays 5 ms.
-        assert_eq!(t, SimTime(5_000_000));
-    }
-
-    #[test]
-    fn isend_preserves_posting_order_per_tag() {
-        let mut sim = Sim::new();
-        let w = world(&sim, 2);
-        let c0 = w.comm(0);
-        let c1 = w.comm(1);
-        let jh = sim.spawn(async move {
-            let handles: Vec<_> = (0..5u8)
-                .map(|i| c0.isend(1, 9, Payload::bytes(vec![i])))
+            let senders: Vec<_> = (0..5u8)
+                .map(|i| {
+                    let c = c0.clone();
+                    h.spawn(async move { c.send(1, 9, Payload::bytes(vec![i])).await })
+                })
                 .collect();
-            for hdl in handles {
-                hdl.await;
+            for s in senders {
+                s.await;
             }
             let mut got = Vec::new();
             for _ in 0..5 {

@@ -6,9 +6,10 @@
 //! after the mesh latency for the hop distance. Receives match on
 //! `(source, tag)` FIFO per pair.
 //!
-//! Payloads carry either real bytes (so the two-phase I/O exchange can be
-//! verified functionally) or a synthetic length (timing only, for
-//! paper-scale volumes).
+//! Messages carry an [`iosim_buf::Payload`]: real bytes (so the
+//! two-phase I/O exchange can be verified functionally) or a synthetic
+//! length (timing only, for paper-scale volumes) — the same type the
+//! file system reads and writes.
 //!
 //! Collectives (barrier, broadcast, gather, all-gather, all-to-all,
 //! all-reduce) are built from point-to-point operations, so their cost
@@ -17,4 +18,4 @@
 pub mod collective;
 pub mod comm;
 
-pub use comm::{Comm, MatchSrc, Payload, World};
+pub use comm::{Comm, MatchSrc, World};

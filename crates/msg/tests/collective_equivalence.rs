@@ -17,8 +17,9 @@
 //! mesh-link contention off and on. `allreduce_sum` has no batched form;
 //! a drawn test checks that its integer sums are exact.
 
+use iosim_buf::Payload;
 use iosim_machine::{presets, Machine};
-use iosim_msg::{Comm, MatchSrc, Payload, World};
+use iosim_msg::{Comm, MatchSrc, World};
 use iosim_simkit::executor::{join_all, Sim};
 use iosim_simkit::rng::SimRng;
 use iosim_simkit::time::{SimDuration, SimTime};

@@ -39,9 +39,14 @@
 //!
 //! Files either **store real bytes** (so correctness of optimized I/O
 //! paths can be asserted byte-for-byte) or are **synthetic** (timing only,
-//! for the multi-gigabyte SCF workloads). Stored content lives in an
-//! [`ExtentTree`]: writes adopt the caller's shared buffers without a
-//! memcpy, and reads hand back views into the same storage. The buffer
+//! for the multi-gigabyte SCF workloads). The file decides, not the
+//! caller: every read returns a [`Payload`] — the stored bytes, or
+//! [`Payload::synthetic`] of the length asked for — and every write takes
+//! one, so one set of six data methods (`read_at`, `readv`, `read`,
+//! `write_at`, `writev`, `write`) serves both kinds, with identical
+//! timing and tracing. Stored content lives in an [`ExtentTree`]: writes
+//! adopt the caller's shared buffers without a memcpy, and reads hand
+//! back a rope of views into the same storage. The buffer
 //! cache and the disk queues are pure *timing* models — they never hold
 //! data bytes, so sharing buffers between the application, the message
 //! layer, and the file store is safe.
@@ -50,7 +55,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use iosim_buf::{Bytes, BytesList};
+use iosim_buf::{BytesList, Payload};
 use iosim_cache::BufferCache;
 use iosim_machine::{Interface, Machine};
 use iosim_simkit::hash::FxHashMap;
@@ -83,8 +88,6 @@ pub enum FsError {
         /// Current size.
         size: u64,
     },
-    /// Byte-returning read on a synthetic file.
-    NotStored(String),
     /// A stored file would exceed [`STORED_FILE_CAP`].
     TooLarge(String),
 }
@@ -97,7 +100,6 @@ impl fmt::Display for FsError {
             FsError::PastEof { name, wanted, size } => {
                 write!(f, "read past EOF on {name}: wanted {wanted}, size {size}")
             }
-            FsError::NotStored(n) => write!(f, "file {n} is synthetic (no bytes)"),
             FsError::TooLarge(n) => write!(f, "stored file {n} would exceed cap"),
         }
     }
@@ -554,6 +556,24 @@ impl FileHandle {
         );
     }
 
+    /// The timed part of a vectored call: nothing for an empty request,
+    /// one list-I/O op for a list-I/O request, otherwise one op per
+    /// fragment in extent order.
+    async fn vectored_op(&self, kind: OpKind, req: &IoRequest) {
+        if req.is_empty() {
+            return;
+        }
+        self.note_listio(req);
+        if self.is_listio(req) {
+            self.data_op(kind, &req.coalesced(), req.total_bytes(), true)
+                .await;
+        } else {
+            for &(off, len) in req.extents() {
+                self.data_op(kind, &[(off, len)], len, false).await;
+            }
+        }
+    }
+
     fn check_read(&self, offset: u64, len: u64) -> Result<(), FsError> {
         let f = self.file.borrow();
         if offset + len > f.size {
@@ -566,149 +586,69 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Require stored bytes (payload-returning reads).
-    fn check_stored(&self) -> Result<(), FsError> {
-        let f = self.file.borrow();
-        if matches!(f.content, Content::Synthetic) {
-            return Err(FsError::NotStored(f.name.clone()));
-        }
-        Ok(())
-    }
-
-    /// View `[offset, offset + len)` of the stored content as a rope of
-    /// shared buffers (holes zero-filled, nothing copied).
-    fn extract(&self, offset: u64, len: u64) -> BytesList {
+    /// The content of `extents` (file offsets, concatenated in order) as
+    /// a payload of `len` bytes: a rope of shared views of a stored
+    /// file's extent tree (holes zero-filled, nothing copied), or a
+    /// synthetic payload of a timing-only file. Untimed; the read paths
+    /// call it after their timed op.
+    fn extract(&self, extents: &[(u64, u64)], len: u64) -> Payload {
         let f = self.file.borrow();
         let Content::Stored(tree) = &f.content else {
-            unreachable!("stored-ness checked before the timed op")
+            return Payload::synthetic(len);
         };
-        tree.read(offset, len)
-    }
-
-    /// One contiguous read extent; payload-vs-discard
-    /// is the `want_bytes` mode (the single servicing routine behind
-    /// `read_at` and `read_discard_at`).
-    async fn read_one(
-        &self,
-        offset: u64,
-        len: u64,
-        want_bytes: bool,
-    ) -> Result<Option<Bytes>, FsError> {
-        self.check_read(offset, len)?;
-        if want_bytes {
-            self.check_stored()?;
+        let mut out = BytesList::new();
+        for &(off, len) in extents {
+            out.append(tree.read(off, len));
         }
-        self.data_op(OpKind::Read, &[(offset, len)], len, false)
-            .await;
-        Ok(want_bytes.then(|| self.extract(offset, len).flatten()))
+        Payload::bytes(out)
     }
 
-    /// Read `len` bytes at `offset` (pread-style, no Seek op), returning
-    /// a shared view of the stored data (a copy is made only when the
-    /// range spans several stored extents). Errors on synthetic files —
-    /// use [`FileHandle::read_discard_at`] for those.
-    pub async fn read_at(&self, offset: u64, len: u64) -> Result<Bytes, FsError> {
-        Ok(self
-            .read_one(offset, len, true)
-            .await?
-            .expect("payload mode returns bytes"))
-    }
-
-    /// Read `len` bytes at `offset` as a rope of shared extent views —
-    /// like [`FileHandle::read_at`] but never flattening, so no byte is
-    /// copied even when the range spans several stored extents. Timing
-    /// and tracing identical to `read_at`.
-    pub async fn read_rope_at(&self, offset: u64, len: u64) -> Result<BytesList, FsError> {
+    /// Read `len` bytes at `offset` (pread-style, no Seek op). A stored
+    /// file returns its bytes as a rope of shared extent views (no byte
+    /// is copied, however many extents the range spans); a synthetic
+    /// file returns [`Payload::synthetic`]`(len)`. Timing and tracing do
+    /// not depend on which.
+    pub async fn read_at(&self, offset: u64, len: u64) -> Result<Payload, FsError> {
         self.check_read(offset, len)?;
-        self.check_stored()?;
         self.data_op(OpKind::Read, &[(offset, len)], len, false)
             .await;
-        Ok(self.extract(offset, len))
-    }
-
-    /// Read `len` bytes at `offset`, discarding data (works on synthetic
-    /// and stored files alike; timing and tracing identical to `read_at`).
-    pub async fn read_discard_at(&self, offset: u64, len: u64) -> Result<(), FsError> {
-        self.read_one(offset, len, false).await.map(|_| ())
+        Ok(self.extract(&[(offset, len)], len))
     }
 
     /// Vectored read of a whole [`IoRequest`], returning the fragments'
-    /// bytes concatenated in extent order. Under
-    /// [`Interface::Passion`] a multi-fragment request is serviced as
-    /// list I/O (one call, one booking per I/O node); under other
-    /// interfaces it is the exact equivalent of a `read_at` fragment
-    /// loop. Errors on synthetic files — use
-    /// [`FileHandle::readv_discard`] for those.
-    pub async fn readv(&self, req: &IoRequest) -> Result<Bytes, FsError> {
-        Ok(self.vectored_read(req, true).await?.unwrap_or_default())
-    }
-
-    /// Vectored read, discarding data (synthetic and stored files
-    /// alike; timing and tracing identical to `readv`).
-    pub async fn readv_discard(&self, req: &IoRequest) -> Result<(), FsError> {
-        self.vectored_read(req, false).await.map(|_| ())
-    }
-
-    async fn vectored_read(
-        &self,
-        req: &IoRequest,
-        want_bytes: bool,
-    ) -> Result<Option<Bytes>, FsError> {
+    /// content concatenated in extent order (bytes or synthetic, as for
+    /// [`FileHandle::read_at`]). Under [`Interface::Passion`] a
+    /// multi-fragment request is serviced as list I/O (one call, one
+    /// booking per I/O node); under other interfaces it is the exact
+    /// equivalent of a `read_at` fragment loop.
+    pub async fn readv(&self, req: &IoRequest) -> Result<Payload, FsError> {
         for &(off, len) in req.extents() {
             self.check_read(off, len)?;
         }
-        if want_bytes {
-            self.check_stored()?;
-        }
-        if req.is_empty() {
-            return Ok(want_bytes.then(Bytes::new));
-        }
-        self.note_listio(req);
-        if self.is_listio(req) {
-            self.data_op(OpKind::Read, &req.coalesced(), req.total_bytes(), true)
-                .await;
-        } else {
-            for &(off, len) in req.extents() {
-                self.data_op(OpKind::Read, &[(off, len)], len, false).await;
-            }
-        }
-        Ok(want_bytes.then(|| {
-            let mut out = BytesList::new();
-            for &(off, len) in req.extents() {
-                out.append(self.extract(off, len));
-            }
-            out.flatten()
-        }))
+        self.vectored_op(OpKind::Read, req).await;
+        Ok(self.extract(req.extents(), req.total_bytes()))
     }
 
     /// Sequential read from the file pointer, advancing it.
-    pub async fn read(&self, len: u64) -> Result<Bytes, FsError> {
+    pub async fn read(&self, len: u64) -> Result<Payload, FsError> {
         let off = self.pos.get();
         let out = self.read_at(off, len).await?;
         self.pos.set(off + len);
         Ok(out)
     }
 
-    /// Sequential discard-read from the file pointer, advancing it.
-    pub async fn read_discard(&self, len: u64) -> Result<(), FsError> {
-        let off = self.pos.get();
-        self.read_discard_at(off, len).await?;
-        self.pos.set(off + len);
-        Ok(())
-    }
-
     /// Untimed bookkeeping of one write extent: cap check, growth, and —
-    /// in payload mode — adoption of the shared buffers into the extent
-    /// tree (no copy). `data` is `None` for discard (timing-only) writes;
-    /// either mode grows the file size.
-    fn note_write(&self, offset: u64, len: u64, data: Option<&BytesList>) -> Result<(), FsError> {
+    /// for a payload carrying bytes — adoption of the shared buffers into
+    /// a stored file's extent tree (no copy). A synthetic payload, or a
+    /// synthetic file, only grows the size.
+    fn note_write(&self, offset: u64, data: &Payload) -> Result<(), FsError> {
         let mut f = self.file.borrow_mut();
-        let end = offset + len;
+        let end = offset + data.len;
         if let Content::Stored(tree) = &mut f.content {
             if end > STORED_FILE_CAP {
                 return Err(FsError::TooLarge(f.name.clone()));
             }
-            if let Some(d) = data {
+            if let Some(d) = &data.data {
                 tree.write_list(offset, d);
             }
         }
@@ -716,101 +656,51 @@ impl FileHandle {
         Ok(())
     }
 
-    /// One contiguous write extent; payload-vs-discard
-    /// is the `data` mode (the single servicing routine behind
-    /// `write_at` and `write_discard_at`).
-    async fn write_one(
-        &self,
-        offset: u64,
-        len: u64,
-        data: Option<&BytesList>,
-    ) -> Result<(), FsError> {
-        self.note_write(offset, len, data)?;
-        self.data_op(OpKind::Write, &[(offset, len)], len, false)
+    /// Write `data` at `offset` (pwrite-style). A stored file adopts the
+    /// buffers as its backing store — pass an owned `Vec<u8>`,
+    /// [`Bytes`](iosim_buf::Bytes), [`BytesList`] or [`Payload`] for a
+    /// zero-copy write (a `&[u8]` is copied once on conversion); a
+    /// [`Payload::synthetic`] write, like any write to a synthetic file,
+    /// moves no byte. Size and timing are the same either way.
+    pub async fn write_at(&self, offset: u64, data: impl Into<Payload>) -> Result<(), FsError> {
+        let data = data.into();
+        self.note_write(offset, &data)?;
+        self.data_op(OpKind::Write, &[(offset, data.len)], data.len, false)
             .await;
         Ok(())
     }
 
-    /// Write `data` at `offset` (pwrite-style). A stored file adopts the
-    /// buffers as its backing store — pass an owned `Vec<u8>`, [`Bytes`],
-    /// or [`BytesList`] for a zero-copy write (a `&[u8]` is copied once
-    /// on conversion); always updates size and timing.
-    pub async fn write_at(&self, offset: u64, data: impl Into<BytesList>) -> Result<(), FsError> {
-        let data = data.into();
-        let len = data.len();
-        self.write_one(offset, len, Some(&data)).await
-    }
-
-    /// Write `len` synthetic bytes at `offset` (timing only; size grows).
-    pub async fn write_discard_at(&self, offset: u64, len: u64) -> Result<(), FsError> {
-        self.write_one(offset, len, None).await
-    }
-
     /// Vectored write of a whole [`IoRequest`] with scatter-gather
-    /// payload: `data` holds the fragments' bytes concatenated in extent
-    /// order (`data.len()` must equal [`IoRequest::total_bytes`]). Under
-    /// [`Interface::Passion`] a multi-fragment request is serviced as
-    /// list I/O (one call, one booking per I/O node); under other
+    /// payload: `data` holds the fragments' content concatenated in
+    /// extent order (its length must equal [`IoRequest::total_bytes`]).
+    /// Under [`Interface::Passion`] a multi-fragment request is serviced
+    /// as list I/O (one call, one booking per I/O node); under other
     /// interfaces it is the exact equivalent of a `write_at` fragment
     /// loop.
     ///
     /// # Panics
-    /// Panics if `data.len() != req.total_bytes()`.
-    pub async fn writev(&self, req: &IoRequest, data: impl Into<BytesList>) -> Result<(), FsError> {
+    /// Panics if `data`'s length differs from `req.total_bytes()`.
+    pub async fn writev(&self, req: &IoRequest, data: impl Into<Payload>) -> Result<(), FsError> {
         let data = data.into();
         assert_eq!(
-            data.len(),
+            data.len,
             req.total_bytes(),
             "writev payload must match the request's total bytes"
         );
-        self.vectored_write(req, Some(data)).await
-    }
-
-    /// Vectored synthetic write (timing only; size grows per extent).
-    pub async fn writev_discard(&self, req: &IoRequest) -> Result<(), FsError> {
-        self.vectored_write(req, None).await
-    }
-
-    async fn vectored_write(
-        &self,
-        req: &IoRequest,
-        data: Option<BytesList>,
-    ) -> Result<(), FsError> {
         let mut cursor = 0u64;
         for &(off, len) in req.extents() {
-            let frag = data.as_ref().map(|d| d.slice(cursor, len));
-            self.note_write(off, len, frag.as_ref())?;
+            self.note_write(off, &data.slice(cursor, len))?;
             cursor += len;
         }
-        if req.is_empty() {
-            return Ok(());
-        }
-        self.note_listio(req);
-        if self.is_listio(req) {
-            self.data_op(OpKind::Write, &req.coalesced(), req.total_bytes(), true)
-                .await;
-        } else {
-            for &(off, len) in req.extents() {
-                self.data_op(OpKind::Write, &[(off, len)], len, false).await;
-            }
-        }
+        self.vectored_op(OpKind::Write, req).await;
         Ok(())
     }
 
     /// Sequential write from the file pointer, advancing it.
-    pub async fn write(&self, data: impl Into<BytesList>) -> Result<(), FsError> {
+    pub async fn write(&self, data: impl Into<Payload>) -> Result<(), FsError> {
         let data = data.into();
-        let len = data.len();
-        let off = self.pos.get();
-        self.write_one(off, len, Some(&data)).await?;
-        self.pos.set(off + len);
-        Ok(())
-    }
-
-    /// Sequential synthetic write from the file pointer, advancing it.
-    pub async fn write_discard(&self, len: u64) -> Result<(), FsError> {
-        let off = self.pos.get();
-        self.write_discard_at(off, len).await?;
+        let (off, len) = (self.pos.get(), data.len);
+        self.write_at(off, data).await?;
         self.pos.set(off + len);
         Ok(())
     }
@@ -894,10 +784,10 @@ mod tests {
             let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
             fh.write_at(0, &data).await.unwrap();
             let back = fh.read_at(0, data.len() as u64).await.unwrap();
-            assert_eq!(back, data);
+            assert_eq!(back, Payload::bytes(&data));
             // Partial mid-file read.
             let mid = fh.read_at(1000, 5000).await.unwrap();
-            assert_eq!(&mid[..], &data[1000..6000]);
+            assert_eq!(mid, Payload::bytes(&data[1000..6000]));
         });
         sim.run();
         jh.try_take().expect("task completed");
@@ -931,13 +821,21 @@ mod tests {
                 .open(0, Interface::Passion, "syn", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            fh.write_discard_at(0, 1 << 20).await.unwrap();
-            assert_eq!(fh.size(), 1 << 20);
-            fh.read_discard_at(0, 1 << 20).await.unwrap();
-            fh.read_at(0, 16).await
+            fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
+            // Real bytes written to a synthetic file count for size only.
+            fh.write_at(1 << 20, vec![7u8; 16]).await.unwrap();
+            let req = IoRequest::from_extents(vec![(0, 8), (1 << 20, 4)]);
+            (
+                fh.size(),
+                fh.read_at(1 << 20, 16).await,
+                fh.readv(&req).await,
+            )
         });
         sim.run();
-        assert!(matches!(jh.try_take().unwrap(), Err(FsError::NotStored(_))));
+        let (size, tail, gathered) = jh.try_take().unwrap();
+        assert_eq!(size, (1 << 20) + 16);
+        assert_eq!(tail, Ok(Payload::synthetic(16)));
+        assert_eq!(gathered, Ok(Payload::synthetic(12)));
     }
 
     #[test]
@@ -949,9 +847,9 @@ mod tests {
                 .open(2, Interface::Fortran, "t", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            fh.write_discard(4096).await.unwrap();
+            fh.write(Payload::synthetic(4096)).await.unwrap();
             fh.seek(0).await;
-            fh.read_discard(4096).await.unwrap();
+            fh.read(4096).await.unwrap();
             fh.flush().await;
             fh.close().await;
         });
@@ -982,12 +880,12 @@ mod tests {
                 .open(0, Interface::Passion, "seq", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            fh.write_discard_at(0, 1 << 20).await.unwrap();
+            fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
             let t0 = h.now();
-            fh.read_discard_at(0, 128 << 10).await.unwrap();
+            fh.read_at(0, 128 << 10).await.unwrap();
             let first = h.now() - t0;
             let t1 = h.now();
-            fh.read_discard_at(128 << 10, 128 << 10).await.unwrap();
+            fh.read_at(128 << 10, 128 << 10).await.unwrap();
             let second = h.now() - t1;
             (first, second)
         });
@@ -1022,12 +920,12 @@ mod tests {
                 .open(0, Interface::Passion, "b", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            a.write_discard_at(0, 1 << 20).await.unwrap();
-            b.write_discard_at(0, 1 << 20).await.unwrap();
+            a.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
+            b.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
             trace_in.reset();
             for i in 0..4u64 {
-                a.read_discard_at(i * 65536, 65536).await.unwrap();
-                b.read_discard_at(i * 65536, 65536).await.unwrap();
+                a.read_at(i * 65536, 65536).await.unwrap();
+                b.read_at(i * 65536, 65536).await.unwrap();
             }
         });
         sim.run();
@@ -1043,10 +941,10 @@ mod tests {
                 .open(0, Interface::Passion, "a", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            a.write_discard_at(0, 1 << 20).await.unwrap();
+            a.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
             trace2_in.reset();
             for i in 0..8u64 {
-                a.read_discard_at(i * 65536, 65536).await.unwrap();
+                a.read_at(i * 65536, 65536).await.unwrap();
             }
         });
         sim2.run();
@@ -1083,7 +981,7 @@ mod tests {
                             )
                             .await
                             .unwrap();
-                        fh.write_discard_at(0, 4 << 20).await.unwrap();
+                        fh.write_at(0, Payload::synthetic(4 << 20)).await.unwrap();
                     }
                 })
                 .collect();
@@ -1126,7 +1024,7 @@ mod tests {
                 .open(0, Interface::UnixStyle, "big", Some(stored()))
                 .await
                 .unwrap();
-            fh.write_discard_at(STORED_FILE_CAP, 1).await
+            fh.write_at(STORED_FILE_CAP, Payload::synthetic(1)).await
         });
         sim.run();
         assert!(matches!(jh.try_take().unwrap(), Err(FsError::TooLarge(_))));
@@ -1157,7 +1055,7 @@ mod tests {
                     )
                     .await
                     .unwrap();
-                a.write_discard_at(0, 1 << 20).await.unwrap();
+                a.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
                 fs2.create("beta", CreateOptions::default()).unwrap();
             });
             sim.run();
@@ -1206,7 +1104,7 @@ mod tests {
                 )
                 .await
                 .unwrap();
-            fh.write_discard_at(0, 1 << 20).await.unwrap();
+            fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
         });
         sim.run();
         jh.try_take().expect("completed");
@@ -1231,7 +1129,7 @@ mod tests {
                     .open(0, Interface::Passion, "f", Some(CreateOptions::default()))
                     .await
                     .unwrap();
-                fh.write_discard_at(0, 8 << 20).await.unwrap();
+                fh.write_at(0, Payload::synthetic(8 << 20)).await.unwrap();
             });
             let end = sim.run();
             jh.try_take().expect("completed");
@@ -1261,9 +1159,9 @@ mod tests {
                     .open(0, Interface::Passion, "f", Some(CreateOptions::default()))
                     .await
                     .unwrap();
-                fh.write_discard_at(0, 1 << 20).await.unwrap();
+                fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
                 for _ in 0..4 {
-                    fh.read_discard_at(0, 1 << 20).await.unwrap();
+                    fh.read_at(0, 1 << 20).await.unwrap();
                 }
                 fh.flush().await;
             });
@@ -1301,7 +1199,7 @@ mod tests {
             fh.write_at(0, &data).await.unwrap();
             fh.flush().await;
             let back = fh.read_at(0, data.len() as u64).await.unwrap();
-            assert_eq!(back, data);
+            assert_eq!(back, Payload::bytes(data));
         });
         sim.run();
         jh.try_take().expect("completed");
@@ -1322,14 +1220,14 @@ mod tests {
                     .open(0, Interface::Passion, "s", Some(CreateOptions::default()))
                     .await
                     .unwrap();
-                fh.write_discard_at(0, 1 << 20).await.unwrap();
+                fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
                 let req = IoRequest::strided(0, 4096, 16384, 32);
                 let t0 = h.now();
                 if listio {
-                    fh.readv_discard(&req).await.unwrap();
+                    fh.readv(&req).await.unwrap();
                 } else {
                     for &(off, len) in req.extents() {
-                        fh.read_discard_at(off, len).await.unwrap();
+                        fh.read_at(off, len).await.unwrap();
                     }
                 }
                 h.now() - t0
@@ -1358,13 +1256,13 @@ mod tests {
                     .open(0, Interface::UnixStyle, "u", Some(CreateOptions::default()))
                     .await
                     .unwrap();
-                fh.write_discard_at(0, 1 << 20).await.unwrap();
+                fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
                 let req = IoRequest::strided(0, 4096, 16384, 16);
                 if vectored {
-                    fh.readv_discard(&req).await.unwrap();
+                    fh.readv(&req).await.unwrap();
                 } else {
                     for &(off, len) in req.extents() {
-                        fh.read_discard_at(off, len).await.unwrap();
+                        fh.read_at(off, len).await.unwrap();
                     }
                 }
             });
@@ -1393,14 +1291,14 @@ mod tests {
             let req = IoRequest::from_extents(vec![(100, 4), (0, 4)]);
             fh.writev(&req, b"AAAABBBB").await.unwrap();
             assert_eq!(fh.size(), 104);
-            assert_eq!(fh.read_at(0, 4).await.unwrap(), b"BBBB");
-            assert_eq!(fh.read_at(100, 4).await.unwrap(), b"AAAA");
+            assert_eq!(fh.read_at(0, 4).await.unwrap(), Payload::bytes(b"BBBB"));
+            assert_eq!(fh.read_at(100, 4).await.unwrap(), Payload::bytes(b"AAAA"));
             // Scatter-read in a different order again.
             let back = fh
                 .readv(&IoRequest::from_extents(vec![(0, 4), (100, 4)]))
                 .await
                 .unwrap();
-            assert_eq!(back, b"BBBBAAAA");
+            assert_eq!(back, Payload::bytes(b"BBBBAAAA"));
         });
         sim.run();
         jh.try_take().expect("completed");
@@ -1418,11 +1316,11 @@ mod tests {
                 .open(0, Interface::Passion, "c", Some(CreateOptions::default()))
                 .await
                 .unwrap();
-            fh.write_discard_at(0, 1 << 20).await.unwrap();
+            fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
             // Legacy calls do not count as list I/O.
-            fh.read_discard_at(0, 4096).await.unwrap();
+            fh.read_at(0, 4096).await.unwrap();
             // Four adjacent fragments coalesce to one extent.
-            fh.readv_discard(&IoRequest::strided(0, 4096, 4096, 4))
+            fh.readv(&IoRequest::strided(0, 4096, 4096, 4))
                 .await
                 .unwrap();
         });

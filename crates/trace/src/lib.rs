@@ -298,7 +298,7 @@ impl BalanceStats {
 }
 
 /// One row of an I/O summary table.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SummaryRow {
     /// Operation kind.
     pub kind: OpKind,
@@ -311,7 +311,7 @@ pub struct SummaryRow {
 }
 
 /// Per-kind I/O summary in the layout of the paper's Tables 2–3.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IoSummary {
     /// Rows in paper order (Open, Read, Seek, Write, Flush, Close).
     pub rows: Vec<SummaryRow>,

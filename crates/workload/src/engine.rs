@@ -31,6 +31,7 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
+use iosim_buf::Payload;
 use iosim_core::two_phase::{read_collective, write_collective, Piece, Span};
 use iosim_machine::{Interface, MachineConfig};
 use iosim_msg::{Comm, World};
@@ -413,16 +414,19 @@ async fn replay_serial(ctx: AppCtx, sh: Rc<ReplayShared>, batch: usize) {
                     let (off, len) = extents[0];
                     fh.seek(off).await;
                     if is_read {
-                        fh.read_discard(len).await.expect("replay read");
+                        fh.read(len).await.expect("replay read");
                     } else {
-                        fh.write_discard(len).await.expect("replay write");
+                        fh.write(Payload::synthetic(len))
+                            .await
+                            .expect("replay write");
                     }
                 } else {
                     let req = IoRequest::from_extents(extents);
                     if is_read {
-                        fh.readv_discard(&req).await.expect("replay readv");
+                        fh.readv(&req).await.expect("replay readv");
                     } else {
-                        fh.writev_discard(&req).await.expect("replay writev");
+                        let data = Payload::synthetic(req.total_bytes());
+                        fh.writev(&req, data).await.expect("replay writev");
                     }
                 }
                 let elapsed = h.now() - t0;
@@ -770,18 +774,25 @@ async fn issue_op(sh: &OpenLoopShared, fhs: &[FileHandle], op: &TimedOp, mode: R
         ReplayMode::ListIo { .. } => {
             let req = IoRequest::from_extents(exts.collect());
             match op.kind {
-                TraceKind::Read => fh.readv_discard(&req).await.expect("open-loop readv"),
-                TraceKind::Write => fh.writev_discard(&req).await.expect("open-loop writev"),
+                TraceKind::Read => {
+                    fh.readv(&req).await.expect("open-loop readv");
+                }
+                TraceKind::Write => {
+                    let data = Payload::synthetic(req.total_bytes());
+                    fh.writev(&req, data).await.expect("open-loop writev");
+                }
             }
         }
         _ => {
             for (off, len) in exts {
                 match op.kind {
-                    TraceKind::Read => fh.read_discard_at(off, len).await.expect("open-loop read"),
-                    TraceKind::Write => fh
-                        .write_discard_at(off, len)
-                        .await
-                        .expect("open-loop write"),
+                    TraceKind::Read => {
+                        fh.read_at(off, len).await.expect("open-loop read");
+                    }
+                    TraceKind::Write => {
+                        let data = Payload::synthetic(len);
+                        fh.write_at(off, data).await.expect("open-loop write");
+                    }
                 }
             }
         }
@@ -818,9 +829,10 @@ async fn flush_window(
         for f in fids {
             let req = IoRequest::from_extents(map[&f].clone());
             if is_read {
-                fhs[f].readv_discard(&req).await.expect("window readv");
+                fhs[f].readv(&req).await.expect("window readv");
             } else {
-                fhs[f].writev_discard(&req).await.expect("window writev");
+                let data = Payload::synthetic(req.total_bytes());
+                fhs[f].writev(&req, data).await.expect("window writev");
             }
         }
     }

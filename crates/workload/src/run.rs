@@ -194,6 +194,7 @@ pub fn run_ranks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosim_buf::Payload;
     use iosim_machine::{presets, Interface};
     use iosim_pfs::CreateOptions;
 
@@ -211,7 +212,7 @@ mod tests {
                     )
                     .await
                     .unwrap();
-                fh.write_discard_at(0, 1 << 20).await.unwrap();
+                fh.write_at(0, Payload::synthetic(1 << 20)).await.unwrap();
                 ctx.comm.barrier().await;
             })
         });

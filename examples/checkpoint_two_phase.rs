@@ -84,10 +84,8 @@ async fn checkpoint(ctx: AppCtx, collective: bool) -> Vec<u8> {
     }
     ctx.comm.barrier().await;
     let data = if ctx.rank == 0 {
-        fh.read_at(0, GRID * GRID * 8)
-            .await
-            .expect("read back")
-            .to_vec()
+        let back = fh.read_at(0, GRID * GRID * 8).await.expect("read back");
+        back.data.expect("checkpoint is stored").to_vec()
     } else {
         Vec::new()
     };

@@ -35,7 +35,7 @@ fn run_with_hot_node(speed: f64) -> f64 {
             for _ in 0..2 {
                 let mut off = 0u64;
                 while off < 32 << 20 {
-                    fh.read_discard_at(off, 256 << 10).await.expect("read");
+                    fh.read_at(off, 256 << 10).await.expect("read");
                     off += 256 << 10;
                 }
             }

@@ -37,7 +37,9 @@ fn main() {
                 .await
                 .expect("create file");
             for i in 0..64u64 {
-                fh.write_discard_at(i * 65536, 65536).await.expect("write");
+                fh.write_at(i * 65536, Payload::synthetic(65536))
+                    .await
+                    .expect("write");
             }
             fh.flush().await;
             comm.barrier().await;

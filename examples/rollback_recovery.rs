@@ -65,7 +65,8 @@ fn main() {
 
                 // "Crash": lose the in-memory state, recover, and replay.
                 state = vec![f64::NAN; 512];
-                let recovered = ck.restore_latest().await.expect("restore").into_bytes();
+                let recovered = ck.restore_latest().await.expect("restore");
+                let recovered = recovered.data.expect("solver.ck is stored").flatten();
                 for (v, c) in state.iter_mut().zip(recovered.chunks_exact(8)) {
                     *v = f64::from_le_bytes(c.try_into().expect("8 bytes"));
                 }

@@ -11,6 +11,8 @@
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
+//! - [`buf`] — zero-copy shared byte buffers and [`buf::Payload`], the
+//!   bytes-or-length value that messages and file operations carry
 //! - [`simkit`] — virtual-time async executor (DES engine)
 //! - [`machine`] — hardware model and presets
 //! - [`pfs`] — parallel file system (PFS / PIOFS)
@@ -52,12 +54,13 @@ pub use iosim_workload as workload;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use iosim_bench::advisor::{AdviseOpts, BatchAdvisor, Query};
+    pub use iosim_buf::Payload;
     pub use iosim_core::{
         read_collective, write_collective, write_collective_batched, FileLayout, HintGrid, Hints,
         OocArray, Piece, Prefetcher, SemiDirect, Span,
     };
     pub use iosim_machine::{presets, Interface, Machine, MachineConfig};
-    pub use iosim_msg::{Comm, MatchSrc, Payload, World};
+    pub use iosim_msg::{Comm, MatchSrc, World};
     pub use iosim_pfs::{CreateOptions, FileHandle, FileSystem, FsError, IoRequest};
     pub use iosim_simkit::prelude::*;
     pub use iosim_trace::{LatencyHistogram, OpKind, TraceCollector};

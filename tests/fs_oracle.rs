@@ -8,13 +8,16 @@
 //! paths of the file system: the FIFO reservation path, the command
 //! queues and the buffer cache. Vectored operations under the PASSION
 //! interface take the list-I/O booking; everything else takes the
-//! per-run booking. Cases come from seeded [`SimRng`]s and every failure
-//! names its seed.
+//! per-run booking. Every program also runs on a synthetic file, whose
+//! reads carry lengths only, and must leave the simulator in exactly the
+//! state the stored run left it. Cases come from seeded [`SimRng`]s and
+//! every failure names its seed.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use iosim::prelude::*;
+use iosim::trace::{CacheSnapshot, IoSummary, ListIoSnapshot, QueueSnapshot};
 
 /// An operation in a random program. Vectored extents are in
 /// scatter-gather order and may overlap.
@@ -96,6 +99,156 @@ fn oracle_write(oracle: &mut Vec<u8>, offset: u64, data: &[u8]) {
     oracle[offset as usize..end].copy_from_slice(data);
 }
 
+/// Check a read against the oracle: byte for byte from a stored file,
+/// by length alone from a synthetic one, whose reads carry no bytes.
+fn check_read(got: Payload, want: &[u8], stored: bool, what: &str) {
+    if stored {
+        let got = got
+            .data
+            .unwrap_or_else(|| panic!("{what}: no bytes from a stored file"));
+        assert_bytes(&got.to_vec(), want, what);
+    } else {
+        assert_eq!(got, Payload::synthetic(want.len() as u64), "{what}");
+    }
+}
+
+/// Everything a program's run leaves in the simulator except the file's
+/// bytes. The stored and synthetic runs of one program must leave the
+/// same: whether bytes move is invisible to virtual time and scheduling.
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    end: SimTime,
+    summary: IoSummary,
+    listio: ListIoSnapshot,
+    queue: QueueSnapshot,
+    cache: CacheSnapshot,
+    fingerprint: u64,
+    fifo_requests: u64,
+}
+
+/// Run `ops` against one file of a fresh `cfg` machine, checking every
+/// read and the size after every step against the in-memory oracle.
+/// Returns the booked operations, `[per-run, list-I/O]`, and the run's
+/// footprint.
+fn run_program(
+    ops: &[Op],
+    cfg: MachineConfig,
+    iface: Interface,
+    stripe_unit: u64,
+    stored: bool,
+    tag: &str,
+) -> ([u64; 2], Footprint) {
+    let io_nodes = cfg.io_nodes;
+    let mut sim = Sim::new();
+    let machine = Machine::new(sim.handle(), cfg);
+    let trace = TraceCollector::new();
+    let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
+    let ops = ops.to_vec();
+    let tag = format!("{tag}, stored {stored}");
+    let jh = sim.spawn(async move {
+        let fh = fs
+            .open(
+                0,
+                iface,
+                "oracle",
+                Some(CreateOptions {
+                    stored,
+                    stripe_unit: Some(stripe_unit),
+                    ..Default::default()
+                }),
+            )
+            .await
+            .expect("open");
+        let mut oracle: Vec<u8> = Vec::new();
+        // Booked operations: [per-run, list-I/O]. Vectored calls take
+        // the list-I/O booking only under PASSION.
+        let mut booked = [0u64; 2];
+        let vectored = usize::from(iface == Interface::Passion);
+        for (step, op) in ops.into_iter().enumerate() {
+            let within = |extents: &[(u64, u64)], size: usize| {
+                extents.iter().all(|&(o, l)| o + l <= size as u64)
+            };
+            match op {
+                Op::Write { offset, len, fill } => {
+                    let data = vec![fill; len as usize];
+                    fh.write_at(offset, &data).await.expect("write");
+                    oracle_write(&mut oracle, offset, &data);
+                    booked[0] += 1;
+                }
+                Op::Read { offset, len } => {
+                    let got = fh.read_at(offset, len).await;
+                    if within(&[(offset, len)], oracle.len()) {
+                        check_read(
+                            got.expect("read"),
+                            &oracle[offset as usize..(offset + len) as usize],
+                            stored,
+                            &format!("{tag} step {step}: read [{offset}, +{len})"),
+                        );
+                        booked[0] += 1;
+                    } else {
+                        assert!(got.is_err(), "{tag} step {step}: read past EOF");
+                    }
+                }
+                Op::Writev { extents, fill } => {
+                    // A distinct fill per fragment, so overlaps show which
+                    // fragment won.
+                    let frags: Vec<(u64, Vec<u8>)> = extents
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &(off, len))| {
+                            (off, vec![fill.wrapping_add(k as u8); len as usize])
+                        })
+                        .collect();
+                    let req = IoRequest::from_extents(extents.clone());
+                    let data: Vec<u8> = frags.iter().flat_map(|(_, d)| d.clone()).collect();
+                    fh.writev(&req, data).await.expect("writev");
+                    // Fragments apply first to last: on overlaps the last
+                    // extent's bytes win.
+                    for (off, data) in &frags {
+                        oracle_write(&mut oracle, *off, data);
+                    }
+                    booked[vectored] += 1;
+                }
+                Op::Readv { extents } => {
+                    let req = IoRequest::from_extents(extents.clone());
+                    let got = fh.readv(&req).await;
+                    if within(&extents, oracle.len()) {
+                        let want: Vec<u8> = extents
+                            .iter()
+                            .flat_map(|&(o, l)| oracle[o as usize..(o + l) as usize].to_vec())
+                            .collect();
+                        check_read(
+                            got.expect("readv"),
+                            &want,
+                            stored,
+                            &format!("{tag} step {step}: readv {extents:?}"),
+                        );
+                        booked[vectored] += 1;
+                    } else {
+                        assert!(got.is_err(), "{tag} step {step}: readv past EOF");
+                    }
+                }
+            }
+            assert_eq!(fh.size(), oracle.len() as u64, "{tag} step {step}: size");
+        }
+        booked
+    });
+    let end = sim.run();
+    let booked = jh.try_take().expect("program completed");
+    let footprint = Footprint {
+        end,
+        summary: trace.summary(),
+        listio: trace.listio().snapshot(),
+        queue: trace.queue().snapshot(),
+        cache: trace.cache().snapshot(),
+        fingerprint: sim.schedule_fingerprint(),
+        fifo_requests: (0..io_nodes)
+            .map(|i| machine.io_queue(i).stats().requests)
+            .sum(),
+    };
+    (booked, footprint)
+}
+
 #[test]
 fn random_io_matches_in_memory_oracle() {
     // Every (disk path, list-I/O booking) pair some case exercised.
@@ -114,108 +267,14 @@ fn random_io_matches_in_memory_oracle() {
         let tag = format!(
             "seed {seed}: {path:?}, {iface:?}, {io_nodes} I/O nodes, stripe unit {stripe_unit}"
         );
-
-        let mut sim = Sim::new();
-        let machine = Machine::new(sim.handle(), cfg);
-        let trace = TraceCollector::new();
-        let fs = FileSystem::new(Rc::clone(&machine), trace.clone());
-        let tag2 = tag.clone();
-        let jh = sim.spawn(async move {
-            let tag = tag2;
-            let fh = fs
-                .open(
-                    0,
-                    iface,
-                    "oracle",
-                    Some(CreateOptions {
-                        stored: true,
-                        stripe_unit: Some(stripe_unit),
-                        ..Default::default()
-                    }),
-                )
-                .await
-                .expect("open");
-            let mut oracle: Vec<u8> = Vec::new();
-            // Booked operations: [per-run, list-I/O]. Vectored calls
-            // take the list-I/O booking only under PASSION.
-            let mut booked = [0u64; 2];
-            let vectored = usize::from(iface == Interface::Passion);
-            for (step, op) in ops.into_iter().enumerate() {
-                let within = |extents: &[(u64, u64)], size: usize| {
-                    extents.iter().all(|&(o, l)| o + l <= size as u64)
-                };
-                match op {
-                    Op::Write { offset, len, fill } => {
-                        let data = vec![fill; len as usize];
-                        fh.write_at(offset, &data[..]).await.expect("write");
-                        oracle_write(&mut oracle, offset, &data);
-                        booked[0] += 1;
-                    }
-                    Op::Read { offset, len } => {
-                        let got = fh.read_at(offset, len).await;
-                        if within(&[(offset, len)], oracle.len()) {
-                            assert_bytes(
-                                &got.expect("read"),
-                                &oracle[offset as usize..(offset + len) as usize],
-                                &format!("{tag} step {step}: read [{offset}, +{len})"),
-                            );
-                            booked[0] += 1;
-                        } else {
-                            assert!(got.is_err(), "{tag} step {step}: read past EOF");
-                        }
-                    }
-                    Op::Writev { extents, fill } => {
-                        // A distinct fill per fragment, so overlaps show
-                        // which fragment won.
-                        let frags: Vec<(u64, Vec<u8>)> = extents
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &(off, len))| {
-                                (off, vec![fill.wrapping_add(k as u8); len as usize])
-                            })
-                            .collect();
-                        let req = IoRequest::from_extents(extents.clone());
-                        fh.writev(
-                            &req,
-                            frags
-                                .iter()
-                                .flat_map(|(_, d)| d.clone())
-                                .collect::<Vec<u8>>(),
-                        )
-                        .await
-                        .expect("writev");
-                        // Fragments apply first to last: on overlaps the
-                        // last extent's bytes win.
-                        for (off, data) in &frags {
-                            oracle_write(&mut oracle, *off, data);
-                        }
-                        booked[vectored] += 1;
-                    }
-                    Op::Readv { extents } => {
-                        let req = IoRequest::from_extents(extents.clone());
-                        let got = fh.readv(&req).await;
-                        if within(&extents, oracle.len()) {
-                            let want: Vec<u8> = extents
-                                .iter()
-                                .flat_map(|&(o, l)| oracle[o as usize..(o + l) as usize].to_vec())
-                                .collect();
-                            assert_bytes(
-                                &got.expect("readv"),
-                                &want,
-                                &format!("{tag} step {step}: readv {extents:?}"),
-                            );
-                            booked[vectored] += 1;
-                        } else {
-                            assert!(got.is_err(), "{tag} step {step}: readv past EOF");
-                        }
-                    }
-                }
-                assert_eq!(fh.size(), oracle.len() as u64, "{tag} step {step}: size");
-            }
-            booked
-        });
-        sim.run();
-        let [run_ops, list_ops] = jh.try_take().expect("program completed");
+        let ([run_ops, list_ops], stored) =
+            run_program(&ops, cfg.clone(), iface, stripe_unit, true, &tag);
+        // The same program on a synthetic file: the writes' bytes are
+        // dropped, the reads carry lengths only, and nothing the
+        // simulator observes may differ.
+        let (booked, synthetic) = run_program(&ops, cfg, iface, stripe_unit, false, &tag);
+        assert_eq!(booked, [run_ops, list_ops], "{tag}: bookings");
+        assert_eq!(synthetic, stored, "{tag}: synthetic run differs");
         if run_ops > 0 {
             covered.push((path, false));
         }
@@ -228,12 +287,9 @@ fn random_io_matches_in_memory_oracle() {
         if run_ops + list_ops == 0 {
             continue;
         }
-        let bookings = trace.queue().snapshot().bookings;
-        let cache = trace.cache().snapshot();
+        let bookings = stored.queue.bookings;
+        let cache = stored.cache;
         let cache_traffic = cache.hits + cache.misses + cache.writes_absorbed;
-        let fifo_requests: u64 = (0..io_nodes)
-            .map(|i| machine.io_queue(i).stats().requests)
-            .sum();
         match path {
             DiskPath::CommandQueue => assert!(bookings > 0, "{tag}: no command-queue bookings"),
             DiskPath::Cache => {
@@ -243,7 +299,7 @@ fn random_io_matches_in_memory_oracle() {
             DiskPath::Fifo => {
                 assert_eq!(bookings, 0, "{tag}: command queue used");
                 assert_eq!(cache_traffic, 0, "{tag}: cache used");
-                assert!(fifo_requests > 0, "{tag}: no FIFO reservations");
+                assert!(stored.fifo_requests > 0, "{tag}: no FIFO reservations");
             }
         }
     }
@@ -298,9 +354,11 @@ fn concurrent_writers_to_disjoint_regions_compose() {
                 .open(0, Interface::Passion, "shared", None)
                 .await
                 .expect("reopen");
-            fh.read_at(0, ranks as u64 * region)
-                .await
-                .expect("read all")
+            let all = fh.read_at(0, ranks as u64 * region).await;
+            all.expect("read all")
+                .data
+                .expect("shared is stored")
+                .to_vec()
         });
         sim.run();
         let all = jh.try_take().expect("completed");
@@ -341,7 +399,9 @@ fn stripe_groups_confine_traffic_to_their_nodes() {
                 .await
                 .expect("open");
             for (offset, len) in ops {
-                fh.write_discard_at(offset, len).await.expect("write");
+                fh.write_at(offset, Payload::synthetic(len))
+                    .await
+                    .expect("write");
             }
         });
         sim.run();
@@ -429,8 +489,8 @@ fn two_phase_random_pieces_equal_direct() {
                         }
                         ctx.comm.barrier().await;
                         if ctx.rank == 0 {
-                            *out.borrow_mut() =
-                                fh.read_at(0, fh.size()).await.expect("read back").to_vec();
+                            let back = fh.read_at(0, fh.size()).await.expect("read back");
+                            *out.borrow_mut() = back.data.expect("tp is stored").to_vec();
                         }
                     })
                 },

@@ -59,6 +59,8 @@ fn collective_write_equals_direct_write_for_irregular_pattern() {
                         .read_at(0, RECORDS * 100)
                         .await
                         .expect("read back")
+                        .data
+                        .expect("shared is stored")
                         .to_vec();
                 }
             })
@@ -114,9 +116,7 @@ fn buffered_collective_write_matches_direct() {
                     }
                     None => {
                         for p in mine {
-                            fh.write_at(p.offset, p.payload.data.expect("bytes"))
-                                .await
-                                .expect("direct");
+                            fh.write_at(p.offset, p.payload).await.expect("direct");
                         }
                     }
                 }
@@ -126,6 +126,8 @@ fn buffered_collective_write_matches_direct() {
                         .read_at(0, RECORDS * 64)
                         .await
                         .expect("read back")
+                        .data
+                        .expect("buffered is stored")
                         .to_vec();
                 }
             })

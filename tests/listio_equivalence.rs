@@ -41,6 +41,27 @@ fn fill_bytes(seed: u64, end: u64) -> Vec<u8> {
     data
 }
 
+/// `len` bytes from `bytes()` for a stored file, or a synthetic payload
+/// of `len` bytes.
+fn payload(stored: bool, len: u64, bytes: impl FnOnce() -> Vec<u8>) -> Payload {
+    if stored {
+        Payload::bytes(bytes())
+    } else {
+        Payload::synthetic(len)
+    }
+}
+
+/// The bytes a read returned: all of them from a stored file, none from
+/// a synthetic one.
+fn content(read: Payload, stored: bool) -> Vec<u8> {
+    assert_eq!(
+        read.data.is_some(),
+        stored,
+        "a read carries bytes iff the file is stored"
+    );
+    read.data.map(|d| d.to_vec()).unwrap_or_default()
+}
+
 /// Read `req` from a file pre-filled with `fill_bytes(seed, ..)`,
 /// either as one vectored request or as a per-fragment loop. Returns
 /// the bytes read and the simulated time the read portion took.
@@ -61,25 +82,15 @@ fn timed_read(
             ..Default::default()
         };
         let fh = fs.open(0, iface, "f", Some(opts)).await.unwrap();
-        if stored {
-            fh.write_at(0, &fill_bytes(seed, req.end())).await.unwrap();
-        } else {
-            fh.write_discard_at(0, req.end()).await.unwrap();
-        }
+        let fill = payload(stored, req.end(), || fill_bytes(seed, req.end()));
+        fh.write_at(0, fill).await.unwrap();
         let t0 = h.now();
         let mut got = Vec::new();
-        match (stored, vectored) {
-            (true, true) => got = fh.readv(&req).await.unwrap().to_vec(),
-            (true, false) => {
-                for &(off, len) in req.extents() {
-                    got.extend_from_slice(&fh.read_at(off, len).await.unwrap());
-                }
-            }
-            (false, true) => fh.readv_discard(&req).await.unwrap(),
-            (false, false) => {
-                for &(off, len) in req.extents() {
-                    fh.read_discard_at(off, len).await.unwrap();
-                }
+        if vectored {
+            got = content(fh.readv(&req).await.unwrap(), stored);
+        } else {
+            for &(off, len) in req.extents() {
+                got.extend(content(fh.read_at(off, len).await.unwrap(), stored));
             }
         }
         (got, h.now() - t0)
@@ -110,39 +121,23 @@ fn timed_write(
         let fh = fs.open(0, iface, "f", Some(opts)).await.unwrap();
         // Zero the full range first so both styles read back a fully
         // defined file afterwards.
-        if stored {
-            fh.write_at(0, &vec![0u8; req.end() as usize])
-                .await
-                .unwrap();
-        } else {
-            fh.write_discard_at(0, req.end()).await.unwrap();
-        }
-        let payload = fill_bytes(seed, req.total_bytes());
+        let zeros = payload(stored, req.end(), || vec![0u8; req.end() as usize]);
+        fh.write_at(0, zeros).await.unwrap();
+        let data = payload(stored, req.total_bytes(), || {
+            fill_bytes(seed, req.total_bytes())
+        });
         let t0 = h.now();
-        match (stored, vectored) {
-            (true, true) => fh.writev(&req, &payload).await.unwrap(),
-            (true, false) => {
-                let mut cursor = 0usize;
-                for &(off, len) in req.extents() {
-                    fh.write_at(off, &payload[cursor..cursor + len as usize])
-                        .await
-                        .unwrap();
-                    cursor += len as usize;
-                }
-            }
-            (false, true) => fh.writev_discard(&req).await.unwrap(),
-            (false, false) => {
-                for &(off, len) in req.extents() {
-                    fh.write_discard_at(off, len).await.unwrap();
-                }
+        if vectored {
+            fh.writev(&req, data).await.unwrap();
+        } else {
+            let mut cursor = 0;
+            for &(off, len) in req.extents() {
+                fh.write_at(off, data.slice(cursor, len)).await.unwrap();
+                cursor += len;
             }
         }
         let elapsed = h.now() - t0;
-        let file = if stored {
-            fh.read_at(0, req.end()).await.unwrap().to_vec()
-        } else {
-            Vec::new()
-        };
+        let file = content(fh.read_at(0, req.end()).await.unwrap(), stored);
         (file, elapsed)
     });
     sim.run();
@@ -169,18 +164,23 @@ fn traced_passion_op(
             .open(0, Interface::Passion, "f", Some(opts))
             .await
             .unwrap();
-        fh.write_discard_at(0, req.end()).await.unwrap();
+        fh.write_at(0, Payload::synthetic(req.end())).await.unwrap();
         match (write, vectored) {
-            (false, true) => fh.readv_discard(&req).await.unwrap(),
-            (true, true) => fh.writev_discard(&req).await.unwrap(),
+            (false, true) => {
+                fh.readv(&req).await.unwrap();
+            }
+            (true, true) => {
+                let data = Payload::synthetic(req.total_bytes());
+                fh.writev(&req, data).await.unwrap();
+            }
             (false, false) => {
                 for &(off, len) in req.extents() {
-                    fh.read_discard_at(off, len).await.unwrap();
+                    fh.read_at(off, len).await.unwrap();
                 }
             }
             (true, false) => {
                 for &(off, len) in req.extents() {
-                    fh.write_discard_at(off, len).await.unwrap();
+                    fh.write_at(off, Payload::synthetic(len)).await.unwrap();
                 }
             }
         }

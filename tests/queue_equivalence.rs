@@ -163,7 +163,7 @@ fn reverse_interleaved_io_time(depth: usize) -> RunResult {
                 .expect("open");
             fh.preallocate(req.end());
             for &(off, len) in req.extents() {
-                fh.read_discard_at(off, len).await.expect("read");
+                fh.read_at(off, len).await.expect("read");
             }
             ctx.comm.barrier().await;
         })
@@ -232,6 +232,8 @@ fn batched_collective_preserves_stored_bytes() {
                         .read_at(0, RECORDS * 96)
                         .await
                         .expect("read back")
+                        .data
+                        .expect("batched is stored")
                         .to_vec();
                 }
             })

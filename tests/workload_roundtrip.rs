@@ -66,3 +66,94 @@ fn open_loop_generator_is_bit_deterministic() {
     let c = run_open_loop(&synth, &spec);
     assert_ne!(a.stats.sched_fingerprint, c.stats.sched_fingerprint);
 }
+
+/// One replay pin: (sample, mode, exec ns, schedule fingerprint,
+/// latency p50 ns, latency p99 ns).
+type ReplayPin = (&'static str, &'static str, u64, u64, u64, u64);
+
+/// Exact virtual results of every committed sample in every replay mode
+/// on `paragon-small`, with the CLI's defaults (seed 42 for the Darshan
+/// expansion, batch 32). The exec times match `iosim replay --machine
+/// paragon-small --mode MODE` to the printed microsecond.
+#[rustfmt::skip]
+const REPLAY_PINS: &[ReplayPin] = &[
+    ("sample_legacy.trace", "direct", 236_257_400, 4432374782571456065, 31_457_279, 55_151_600),
+    ("sample_legacy.trace", "list", 253_137_800, 1195689216268401505, 71_303_167, 122_185_200),
+    ("sample_legacy.trace", "twophase", 297_961_100, 10130816903833188069, 237_855_100, 237_855_100),
+    ("sample_opstream.trace", "direct", 432_283_000, 13880452990023277027, 32_505_855, 55_151_600),
+    ("sample_opstream.trace", "list", 485_695_000, 6966242306973824163, 71_303_167, 122_185_200),
+    ("sample_opstream.trace", "twophase", 361_663_400, 10925653804184424800, 209_715_199, 243_587_200),
+    ("sample_darshan.txt", "direct", 5_499_045_800, 11909008687403224289, 54_525_951, 158_496_000),
+    ("sample_darshan.txt", "list", 1_769_410_200, 17251385368715662305, 88_080_383, 1_183_123_800),
+    ("sample_darshan.txt", "twophase", 2_168_657_900, 17471764550705017604, 176_160_767, 1_813_151_200),
+];
+
+fn replay_sample(name: &str, mode: &str) -> iosim::workload::ReplayReport {
+    let stream = parse_any(&sample(name), 42).expect("parse sample");
+    let machine = presets::paragon_small().with_compute_nodes(stream.ranks().max(1));
+    let spec = match mode {
+        "direct" => ReplaySpec::direct(machine),
+        "list" => ReplaySpec::list_io(machine, 32),
+        "twophase" => ReplaySpec::two_phase(machine, 32),
+        other => unreachable!("mode {other}"),
+    };
+    replay(&stream, &spec)
+}
+
+#[test]
+fn replay_virtual_results_are_pinned() {
+    let mut got = Vec::new();
+    for name in [
+        "sample_legacy.trace",
+        "sample_opstream.trace",
+        "sample_darshan.txt",
+    ] {
+        for mode in ["direct", "list", "twophase"] {
+            let r = replay_sample(name, mode);
+            got.push((
+                name,
+                mode,
+                r.stats.exec_time.0,
+                r.stats.sched_fingerprint,
+                r.latency.p50(),
+                r.latency.p99(),
+            ));
+        }
+    }
+    assert_eq!(got, REPLAY_PINS, "actual pins:\n{got:#?}");
+}
+
+/// (mode, exec ns, schedule fingerprint, latency p50 ns, latency p99 ns,
+/// completed ops).
+type OpenLoopPin = (&'static str, u64, u64, u64, u64, u64);
+
+/// Exact virtual results of one seeded open-loop run on an SP-2 with a
+/// 4 MB-per-node LRU cache, issued directly and as list I/O.
+#[rustfmt::skip]
+const OPEN_LOOP_PINS: &[OpenLoopPin] = &[
+    ("direct", 1_146_773_462, 13116461337768073174, 68_735_378, 68_735_378, 95),
+    ("list", 1_061_560_287, 16932205681200013718, 23_522_203, 23_522_203, 95),
+];
+
+#[test]
+fn open_loop_virtual_results_are_pinned() {
+    let mut synth = SynthSpec::small(8.0, 1234);
+    synth.clients = 12;
+    let machine = || presets::sp2().with_lru_cache(4 << 20);
+    let mut got = Vec::new();
+    for (mode, spec) in [
+        ("direct", ReplaySpec::direct(machine())),
+        ("list", ReplaySpec::list_io(machine(), 8)),
+    ] {
+        let r = run_open_loop(&synth, &spec);
+        got.push((
+            mode,
+            r.stats.exec_time.0,
+            r.stats.sched_fingerprint,
+            r.latency.p50(),
+            r.latency.p99(),
+            r.completed_ops,
+        ));
+    }
+    assert_eq!(got, OPEN_LOOP_PINS, "actual pins:\n{got:#?}");
+}

@@ -62,19 +62,22 @@ echo "$out" | grep -E "^memo: hits=0 misses=[1-8] evictions=0$" >/dev/null || {
   exit 1
 }
 
-echo "== workload replay smoke (three modes over the committed sample) =="
-# Replays tests/data/sample_opstream.trace through every replay mode and
-# fails on a nonzero exit or an empty latency histogram: the engine must
-# both run the committed trace and actually measure per-op latency.
-for mode in direct list twophase; do
-  out="$(cargo run --release --offline -q --bin iosim -- \
-    replay --trace tests/data/sample_opstream.trace \
-    --machine paragon-small --mode "$mode" 2>&1)"
-  echo "$out" | grep -E "^latency: n=[1-9]" >/dev/null || {
-    echo "replay smoke ($mode): empty or missing latency histogram:"
-    echo "$out"
-    exit 1
-  }
+echo "== workload replay smoke (three modes over every committed sample) =="
+# Replays each committed sample (legacy trace, op stream, Darshan
+# summary) through every replay mode and fails on a nonzero exit or an
+# empty latency histogram: the engine must both run every input format
+# and actually measure per-op latency.
+for sample in sample_legacy.trace sample_opstream.trace sample_darshan.txt; do
+  for mode in direct list twophase; do
+    out="$(cargo run --release --offline -q --bin iosim -- \
+      replay --trace "tests/data/$sample" \
+      --machine paragon-small --mode "$mode" 2>&1)"
+    echo "$out" | grep -E "^latency: n=[1-9]" >/dev/null || {
+      echo "replay smoke ($sample, $mode): empty or missing latency histogram:"
+      echo "$out"
+      exit 1
+    }
+  done
 done
 
 echo "== examples (all of them, under a second in total) =="
